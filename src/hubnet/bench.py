@@ -262,23 +262,21 @@ def readout_analysis(spec: TrialSpec, overrides: dict | None = None,
 
 
 def run_trial(spec: TrialSpec, overrides: dict | None = None,
-              mnist: MnistData | None = None,
-              compute_correlation: bool = True) -> TrialResult:
+              mnist: MnistData | None = None) -> TrialResult:
     """Build the model, run the shared dataset through it, score it."""
     cfg = _model_config(spec, overrides)
     start = time.perf_counter()
     bundle = _execute(spec, cfg, mnist)
     if not np.isfinite(bundle["score"]):
         raise RuntimeError(f"non-finite score for {spec}")
-    corr = bundle["degree_weight_r"] if compute_correlation else None
-    return TrialResult(spec=spec, score=bundle["score"], degree_weight_r=corr,
+    return TrialResult(spec=spec, score=bundle["score"],
+                       degree_weight_r=bundle["degree_weight_r"],
                        wall_time=time.perf_counter() - start)
 
 
 def run_experiment(grid, repeats: int, base_seed: int, jobs: int = 1,
                    overrides: dict | None = None,
-                   mnist: MnistData | None = None,
-                   compute_correlation: bool = True) -> list[TrialResult]:
+                   mnist: MnistData | None = None) -> list[TrialResult]:
     """Run ``repeats`` trials for every (task, model, n, n_train, n_test).
 
     Results come back sorted by grid point then trial index, independent
@@ -292,8 +290,7 @@ def run_experiment(grid, repeats: int, base_seed: int, jobs: int = 1,
         for task, model, n, n_train, n_test in grid
         for t in range(repeats)
     ]
-    runner = lambda s: run_trial(s, overrides=overrides, mnist=mnist,
-                                 compute_correlation=compute_correlation)
+    runner = lambda s: run_trial(s, overrides=overrides, mnist=mnist)
     if jobs <= 1:
         return [runner(s) for s in specs]
     # pool.map preserves submission order, so the output ordering is

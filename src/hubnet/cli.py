@@ -8,14 +8,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import html
 import json
+import math
 import os
 import sys
 
-import numpy as np
-
 from . import bench as bench_mod
-from . import netmetrics, reservoir, tasks, topology
+from . import netmetrics, tasks, topology
 from .errors import HubnetError
 
 TASK_FLAG_TO_NAME = {
@@ -30,13 +30,28 @@ MODEL_FLAG_TO_NAME = {
 }
 
 
+def _int_at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum`` (else exit 2)."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its message for "ten"
+    return parse
+
+
+POSITIVE_INT = _int_at_least(1)
+NONNEGATIVE_INT = _int_at_least(0)
+
+
 def _default_seed() -> int:
     env = os.environ.get("HUBNET_SEED")
     return int(env) if env else 0
 
 
-def _add_topology_flags(p: argparse.ArgumentParser, require_n: bool = True):
-    p.add_argument("--n", type=int, required=require_n, help="node count")
+def _add_topology_flags(p: argparse.ArgumentParser):
+    p.add_argument("--n", type=POSITIVE_INT, required=True, help="node count")
     p.add_argument("--density", type=float, default=0.2,
                    help="fraction of off-diagonal edges retained (default 0.2)")
     p.add_argument("--alpha", type=float, default=2.0,
@@ -161,30 +176,53 @@ def cmd_analyze_readout(args) -> int:
     return 0
 
 
+PLOT_COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
+
+
 def cmd_plot(args) -> int:
-    try:
-        import matplotlib
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError as exc:
-        raise RuntimeError("plotting requires matplotlib") from exc
-    rows = []
+    """SVG line chart: one polyline per model, mean score against n_train."""
+    series: dict[str, list[tuple[int, float]]] = {}
     with open(getattr(args, "in"), newline="") as fh:
-        for row in csv.DictReader(fh):
-            rows.append(row)
-    if not rows:
+        reader = csv.DictReader(fh)
+        missing = {"model", "n_train", "mean"} - set(reader.fieldnames or ())
+        if missing:
+            raise RuntimeError(f"aggregate CSV lacks columns {sorted(missing)}")
+        for row in reader:
+            mean = float(row["mean"])
+            if not math.isfinite(mean):
+                raise RuntimeError(f"non-finite mean for model {row['model']!r}")
+            series.setdefault(row["model"], []).append((int(row["n_train"]), mean))
+    if not series:
         raise RuntimeError("aggregate CSV has no rows")
-    fig, ax = plt.subplots()
-    models = sorted({r["model"] for r in rows})
-    for model in models:
-        pts = sorted(
-            ((int(r["n_train"]), float(r["mean"])) for r in rows if r["model"] == model)
-        )
-        ax.plot([p[0] for p in pts], [p[1] for p in pts], marker="o", label=model)
-    ax.set_xlabel("n_train")
-    ax.set_ylabel("mean score")
-    ax.legend()
-    fig.savefig(args.out, format="svg")
+    xs, ys = zip(*(p for pts in series.values() for p in pts))
+    x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
+    width, height, margin = 640, 420, 60
+
+    def place(v, lo, hi, start, stop):
+        # a single distinct value sits mid-axis instead of dividing by zero
+        return (start + stop) / 2 if hi == lo else start + (v - lo) * (stop - start) / (hi - lo)
+
+    out = ['<?xml version="1.0" encoding="UTF-8"?>',
+           f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+           f'font-family="sans-serif" font-size="12">',
+           f'<path d="M{margin},{margin} V{height - margin} H{width - margin}" '
+           f'fill="none" stroke="black"/>',
+           f'<text x="{width / 2}" y="{height - 15}" text-anchor="middle">'
+           f'n_train ({x_lo} to {x_hi})</text>',
+           f'<text x="15" y="{margin - 20}">mean score ({y_lo:.4g} to {y_hi:.4g})</text>']
+    for k, (model, pts) in enumerate(sorted(series.items())):
+        color = PLOT_COLORS[k % len(PLOT_COLORS)]
+        xy = [(place(x, x_lo, x_hi, margin, width - margin),
+               place(y, y_lo, y_hi, height - margin, margin)) for x, y in sorted(pts)]
+        points = " ".join(f"{px:.1f},{py:.1f}" for px, py in xy)
+        out.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="2"/>')
+        # markers keep a single-n_train series visible
+        out += [f'<circle cx="{px:.1f}" cy="{py:.1f}" r="3" fill="{color}"/>' for px, py in xy]
+        out.append(f'<text x="{width - margin}" y="{margin + 16 * k}" fill="{color}" '
+                   f'text-anchor="end">{html.escape(model)}</text>')
+    out.append("</svg>")
+    with open(args.out, "w") as fh:
+        fh.write("\n".join(out) + "\n")
     return 0
 
 
@@ -221,19 +259,20 @@ def build_parser() -> argparse.ArgumentParser:
                        help="spectral radius of the recurrent matrix (default 0.9)")
         p.add_argument("--r-sig", type=float, default=0.1,
                        help="fraction of neurons receiving input (default 0.1)")
-        p.add_argument("--washout", type=int, default=0,
+        p.add_argument("--washout", type=NONNEGATIVE_INT, default=0,
                        help="initial states discarded before fitting (default 0)")
-        p.add_argument("--n-train", type=int, required=True)
-        p.add_argument("--n-test", type=int, default=2000)
+        p.add_argument("--n-train", type=POSITIVE_INT, required=True)
+        p.add_argument("--n-test", type=POSITIVE_INT, default=2000)
         p.add_argument("--seed", type=int, default=_default_seed())
         p.add_argument("--mnist-images", help="IDX image file (.gz ok)")
         p.add_argument("--mnist-labels", help="IDX label file (.gz ok)")
 
     p_bench = sub.add_parser("bench", help="run the seeded benchmark grid")
     add_run_flags(p_bench, with_models=True)
-    p_bench.add_argument("--repeats", type=int, default=100,
+    p_bench.add_argument("--repeats", type=POSITIVE_INT, default=100,
                          help="trials per setting (default 100)")
-    p_bench.add_argument("--jobs", type=int, default=1, help="parallel trial workers")
+    p_bench.add_argument("--jobs", type=POSITIVE_INT, default=1,
+                         help="parallel trial workers")
     p_bench.add_argument("--out", required=True, help="per-trial results CSV")
     p_bench.add_argument("--aggregate-out", help="aggregate CSV path")
     p_bench.add_argument("--omit-timing", action="store_true",
@@ -243,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze-readout",
                           help="train one model and export per-neuron readout weights")
     add_run_flags(p_an, with_models=False)
-    p_an.add_argument("--trial", type=int, default=0, help="trial index")
+    p_an.add_argument("--trial", type=NONNEGATIVE_INT, default=0, help="trial index")
     p_an.add_argument("--out", required=True, help="per-neuron CSV path")
     p_an.set_defaults(func=cmd_analyze_readout)
 

@@ -86,13 +86,12 @@ def modularity(net, labels: np.ndarray) -> float:
     return float(q / two_m)
 
 
-def louvain_partition(net, rng=None) -> np.ndarray:
+def louvain_partition(net) -> np.ndarray:
     """Louvain community detection on the symmetrized |weight| graph.
 
     Deterministic: nodes are visited in ascending index order and ties in
     modularity gain break toward the lowest community id, so the result is
-    a pure function of the graph (the rng argument is accepted for
-    interface symmetry but unused).
+    a pure function of the graph.
     """
     a = _sym_abs(_as_weights(net))
     n = a.shape[0]

@@ -11,7 +11,7 @@ analysis support the mechanistic comparisons.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .netmetrics import node_degrees
 from .topology import (
     Network,
     TopologyConfig,
+    edges_to_dense,
     generate_network,
     network_from_dict,
     network_to_dict,
@@ -36,13 +37,10 @@ __all__ = [
     "spectral_radius",
     "scale_spectral_radius",
     "init_esn",
-    "step",
     "harvest",
     "fit_readout",
-    "predict",
     "fit_subset_readout",
     "normalized_readout_weights",
-    "degree_weight_correlation",
     "pearson",
     "save_esn",
     "load_esn",
@@ -101,42 +99,12 @@ class Esn:
         return self.w_rec.shape[0]
 
 
-def spectral_radius(w: np.ndarray, tol: float = 1e-10, max_iter: int = 10_000,
-                    block: int = 8, seed: int = 0) -> float:
-    """Magnitude of the dominant eigenvalue, by block power iteration.
-
-    Subspace iteration on a small random block with periodic
-    Rayleigh-Ritz extraction: the block is orthonormalized and the
-    iteration matrix projected onto it, so complex-conjugate dominant
-    pairs pose no problem.  Stops once the leading Ritz magnitude is
-    stable to ``tol`` (relative) across consecutive extractions.
-    """
+def spectral_radius(w: np.ndarray) -> float:
+    """Magnitude of the dominant eigenvalue, from the dense eigenvalues."""
     w = np.asarray(w, dtype=float)
-    n = w.shape[0]
-    if n == 0:
+    if w.shape[0] == 0:
         raise ZeroSpectrum("empty matrix has no spectrum")
-    k = min(block, n)
-    rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(rng.standard_normal((n, k)))
-    est_prev = np.inf
-    stable = 0
-    est = 0.0
-    for it in range(max_iter):
-        z = w @ q
-        if np.linalg.norm(z) < 1e-300:
-            return 0.0  # (numerically) nilpotent: iterates vanish
-        q, _ = np.linalg.qr(z)
-        if it % 5 == 4 or it == max_iter - 1:
-            ritz = np.linalg.eigvals(q.T @ (w @ q))
-            est = float(np.abs(ritz).max())
-            if est > 0.0 and abs(est - est_prev) <= tol * est:
-                stable += 1
-                if stable >= 3:
-                    break
-            else:
-                stable = 0
-            est_prev = est
-    return est
+    return float(np.abs(np.linalg.eigvals(w)).max())
 
 
 def scale_spectral_radius(w: np.ndarray, rho: float) -> np.ndarray:
@@ -167,11 +135,6 @@ def init_esn(cfg: EsnConfig, rng: np.random.Generator | None = None) -> Esn:
     mask[chosen] = True
     w_in[~mask] = 0.0
     return Esn(w_in=w_in, w_rec=w_rec, input_mask=mask, network=network, config=cfg)
-
-
-def step(esn: Esn, state: np.ndarray, inp: np.ndarray) -> np.ndarray:
-    """One update: tanh(W_in u + W_rec s)."""
-    return np.tanh(esn.w_in @ np.atleast_1d(inp) + esn.w_rec @ state)
 
 
 def harvest(esn: Esn, inputs: np.ndarray, s0: np.ndarray | None = None) -> np.ndarray:
@@ -218,12 +181,6 @@ def fit_readout(states: np.ndarray, targets: np.ndarray, washout: int = 0) -> np
     return w_out[:, 0] if squeeze else w_out
 
 
-def predict(esn: Esn, w_out: np.ndarray, inputs: np.ndarray,
-            s0: np.ndarray | None = None) -> np.ndarray:
-    """Harvest then apply the readout at every timestep."""
-    return harvest(esn, inputs, s0) @ w_out
-
-
 def fit_subset_readout(states: np.ndarray, targets: np.ndarray,
                        subset: np.ndarray, washout: int = 0) -> np.ndarray:
     """Readout restricted to the given state columns."""
@@ -262,11 +219,6 @@ def pearson(x: np.ndarray, y: np.ndarray) -> float:
     return float((xc * yc).sum() / (sx * sy))
 
 
-def degree_weight_correlation(w_norm: np.ndarray, degrees: np.ndarray) -> float:
-    """Pearson correlation between normalized readout weight and degree."""
-    return pearson(w_norm, degrees)
-
-
 def esn_to_dict(esn: Esn) -> dict:
     rows, cols = np.nonzero(esn.w_in)
     cfg = asdict(esn.config)
@@ -286,9 +238,7 @@ def esn_from_dict(doc: dict) -> Esn:
     cfg = EsnConfig(**cfg_doc)
     network = network_from_dict(doc["network"])
     w_rec = scale_spectral_radius(network.weights, cfg.spec_rad)
-    w_in = np.zeros((cfg.n, cfg.input_dim))
-    for i, j, w in doc["w_in"]:
-        w_in[int(i), int(j)] = float(w)
+    w_in = edges_to_dense(doc["w_in"], (cfg.n, cfg.input_dim))
     mask = np.asarray(doc["input_mask"], dtype=bool)
     return Esn(w_in=w_in, w_rec=w_rec, input_mask=mask, network=network, config=cfg)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import gzip
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +51,6 @@ class MackeyGlassConfig:
     dt: float = 1.0
     transient: int = 1000
     x0: float = 1.2
-    seed: int = 0  # reserved; the dynamics are deterministic
 
     def __post_init__(self):
         if self.length < 1:
@@ -81,12 +80,10 @@ class NarmaConfig:
 
 @dataclass
 class Dataset:
-    """Aligned input/target sequences plus provenance."""
+    """Aligned input/target sequences."""
 
     inputs: np.ndarray
     targets: np.ndarray
-    kind: str = "one_step"
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.inputs.shape[0] != self.targets.shape[0]:
@@ -169,8 +166,6 @@ def narma10(cfg: NarmaConfig, rng: np.random.Generator | None = None,
             return Dataset(
                 inputs=u[: cfg.length, None],
                 targets=x[1: cfg.length + 1, None],
-                kind="one_step",
-                meta={"task": "narma10", "config": cfg},
             )
     raise RegenerationExhausted(
         f"{max_attempts} consecutive divergent NARMA draws; check the parameters"

@@ -9,11 +9,11 @@ regularizer that interpolates back towards a uniformly pruned network.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import AllMassZero
+from .errors import AllMassZero, HubnetError
 
 __all__ = [
     "TopologyConfig",
@@ -240,12 +240,36 @@ def network_to_dict(net: Network) -> dict:
     }
 
 
+def edges_to_dense(edges, shape: tuple[int, int]) -> np.ndarray:
+    """Dense matrix from [row, column, weight] triples.
+
+    Rejects an index outside the matrix and a non-finite weight, so a
+    malformed document cannot wrap into another row or poison results.
+    """
+    try:
+        triples = np.asarray(edges, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise HubnetError("edges must be [row, column, weight] triples") from exc
+    if triples.size == 0:
+        triples = triples.reshape(0, 3)
+    if triples.ndim != 2 or triples.shape[1] != 3:
+        raise HubnetError("edges must be [row, column, weight] triples")
+    rows, cols, values = triples.T
+    for idx, size, what in ((rows, shape[0], "row"), (cols, shape[1], "column")):
+        bad = ~((idx >= 0) & (idx < size))
+        if bad.any():
+            raise HubnetError(f"edge {what} index {idx[bad][0]:g} outside 0..{size - 1}")
+    if not np.isfinite(values).all():
+        raise HubnetError("edge weights must be finite")
+    dense = np.zeros(shape)
+    dense[rows.astype(int), cols.astype(int)] = values
+    return dense
+
+
 def network_from_dict(doc: dict) -> Network:
     cfg = TopologyConfig(**doc["config"])
     n = int(doc["n"])
-    weights = np.zeros((n, n))
-    for i, j, w in doc["edges"]:
-        weights[int(i), int(j)] = float(w)
+    weights = edges_to_dense(doc["edges"], (n, n))
     coords = np.asarray(doc["coords"], dtype=float).reshape(n, 3)
     return Network(weights=weights, coords=coords, config=cfg)
 

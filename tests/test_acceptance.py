@@ -51,8 +51,7 @@ def sign_test_p(wins, losses):
 
 def paired_rmse_run(task, repeats=20, jobs=8):
     grid = [(task, m, 500, 1200, 2000) for m in ("esn", "hubesn")]
-    results = run_experiment(grid, repeats=repeats, base_seed=0, jobs=jobs,
-                             compute_correlation=False)
+    results = run_experiment(grid, repeats=repeats, base_seed=0, jobs=jobs)
     by_model = {m: [r.score for r in results if r.spec.model == m]
                 for m in ("esn", "hubesn")}
     esn = np.array(by_model["esn"])
@@ -261,8 +260,7 @@ def test_criterion_13_mnist_direction():
     mnist = load_mnist(os.environ["HUBNET_MNIST_IMAGES"],
                        os.environ["HUBNET_MNIST_LABELS"])
     grid = [("mnist", m, 500, 2000, 1000) for m in ("esn", "hubesn")]
-    results = run_experiment(grid, repeats=5, base_seed=0, jobs=4, mnist=mnist,
-                             compute_correlation=False)
+    results = run_experiment(grid, repeats=5, base_seed=0, jobs=4, mnist=mnist)
     acc = {m: np.mean([r.score for r in results if r.spec.model == m])
            for m in ("esn", "hubesn")}
     report(13, acc["hubesn"] > acc["esn"],

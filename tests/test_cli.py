@@ -1,5 +1,6 @@
 import csv
 import json
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -72,6 +73,39 @@ def test_corrupt_network_json_exits_1(tmp_path, capsys):
     assert run(["metrics", "--in", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("edge", [[-1, 0, 0.5], [0, 1, float("nan")]])
+def test_malformed_network_json_exits_1(tmp_path, capsys, edge):
+    net_path = tmp_path / "net.json"
+    run(["gen", "--n", "20", "--seed", "1", "--out", str(net_path)])
+    doc = json.loads(net_path.read_text())
+    doc["edges"].append(edge)
+    net_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["metrics", "--in", str(net_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--repeats", "0"],
+    ["bench", "--jobs", "0"],
+    ["bench", "--n-train", "-5"],
+    ["bench", "--n-test", "0"],
+    ["bench", "--n", "0"],
+    ["bench", "--washout", "-1"],
+    ["analyze-readout", "--trial", "-1"],
+])
+def test_out_of_range_integer_flag_exits_2(tmp_path, capsys, argv):
+    base = {"--task": "narma10", "--n": "20", "--n-train": "30", "--n-test": "10",
+            "--out": str(tmp_path / "r.csv")}
+    base[argv[1]] = argv[2]
+    with pytest.raises(SystemExit) as exc:
+        run([argv[0]] + [tok for kv in base.items() for tok in kv])
+    assert exc.value.code == 2
+    assert "must be >=" in capsys.readouterr().err
+
+
 def test_bad_flag_value_exits_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run(["gen", "--n", "ten", "--out", str(tmp_path / "x.json")])
@@ -109,14 +143,14 @@ def test_bench_small_run_and_plot(tmp_path):
         agg_rows = list(csv.DictReader(fh))
     assert {r["model"] for r in agg_rows} == {"esn", "hubesn"}
 
-    pytest.importorskip("matplotlib")
     svg = tmp_path / "plot.svg"
     assert run(["plot", "--in", str(agg), "--out", str(svg)]) == 0
     assert svg.read_text().lstrip().startswith("<?xml")
+    root = ET.parse(svg).getroot()
+    assert len(root.findall("{http://www.w3.org/2000/svg}polyline")) == 2
 
 
 def test_plot_empty_csv_exits_1(tmp_path, capsys):
-    pytest.importorskip("matplotlib")
     empty = tmp_path / "empty.csv"
     empty.write_text("task,model,n,n_train,mean,sd,count\n")
     assert run(["plot", "--in", str(empty), "--out", str(tmp_path / "p.svg")]) == 1

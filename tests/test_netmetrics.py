@@ -167,3 +167,23 @@ def test_network_metrics_bundle_keys():
     assert m["cv"] > 0.0
     assert -0.5 <= m["modularity"] <= 1.0
     assert 0.0 <= m["clustering"] <= 1.0
+
+
+@pytest.mark.parametrize("mode", ["hub", "random"])
+def test_modularity_and_clustering_match_networkx(mode):
+    import networkx as nx
+
+    w = generate_network(TopologyConfig(n=300, density=0.2, mode=mode, seed=11)).weights
+    a = np.abs(w)
+    a = np.maximum(a, a.T)
+    np.fill_diagonal(a, 0.0)
+    labels = louvain_partition(w)
+    communities = [set(np.flatnonzero(labels == c).tolist()) for c in range(labels.max() + 1)]
+    nx_q = nx.community.modularity(nx.from_numpy_array(a), communities)
+    assert abs(modularity(w, labels) - nx_q) <= 1e-9
+
+    pos = np.where(w > 0.0, w, 0.0)
+    np.fill_diagonal(pos, 0.0)
+    g = nx.from_numpy_array(np.maximum(pos, pos.T))
+    nx_c = np.mean(list(nx.clustering(g, weight="weight").values()))
+    assert abs(clustering_coefficient(w) - nx_c) <= 1e-9

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,13 +7,13 @@ from hubnet.errors import (
     ConstantVector,
     DimensionMismatch,
     EmptySubset,
+    HubnetError,
     ZeroSpectrum,
 )
 from hubnet.netmetrics import node_degrees
 from hubnet.reservoir import (
     Esn,
     EsnConfig,
-    degree_weight_correlation,
     fit_readout,
     fit_subset_readout,
     harvest,
@@ -19,11 +21,9 @@ from hubnet.reservoir import (
     load_esn,
     normalized_readout_weights,
     pearson,
-    predict,
     save_esn,
     scale_spectral_radius,
     spectral_radius,
-    step,
 )
 from hubnet.topology import TopologyConfig
 
@@ -56,8 +56,7 @@ def test_spectral_radius_matches_dense_eigvals():
     rng = np.random.default_rng(0)
     for _ in range(20):
         w = rng.normal(size=(50, 50))
-        oracle = np.abs(np.linalg.eigvals(w)).max()
-        assert spectral_radius(w) == pytest.approx(oracle, abs=1e-8)
+        assert spectral_radius(w) == np.abs(np.linalg.eigvals(w)).max()
 
 
 def test_spectral_radius_handles_complex_dominant_pair():
@@ -111,11 +110,11 @@ def test_init_is_deterministic_in_seed():
 
 def test_step_and_harvest_agree():
     esn = small_esn()
-    u = np.random.default_rng(2).normal(size=10)
+    u = np.random.default_rng(2).normal(size=(10, 1))
     states = harvest(esn, u)
     s = np.zeros(esn.n)
     for t in range(10):
-        s = step(esn, s, u[t])
+        s = np.tanh(esn.w_in @ u[t] + esn.w_rec @ s)
         assert np.allclose(states[t], s)
     assert states.shape == (10, esn.n)
 
@@ -178,13 +177,6 @@ def test_subset_readout_full_subset_matches_plain_fit():
         fit_subset_readout(s, y, np.zeros(15, dtype=bool))
 
 
-def test_predict_is_harvest_times_readout():
-    esn = small_esn()
-    u = np.random.default_rng(10).normal(size=25)
-    w = np.random.default_rng(11).normal(size=esn.n)
-    assert np.allclose(predict(esn, w, u), harvest(esn, u) @ w)
-
-
 def test_normalized_readout_weights():
     states = np.array([[1.0, -2.0], [3.0, 0.0]])
     w = np.array([0.5, -4.0])
@@ -202,7 +194,6 @@ def test_pearson_oracles():
     x = np.array([1.0, 2.0, 3.0, 4.0])
     assert pearson(x, 2 * x + 1) == pytest.approx(1.0)
     assert pearson(x, -x) == pytest.approx(-1.0)
-    assert degree_weight_correlation(x, -x) == pytest.approx(-1.0)
     with pytest.raises(ConstantVector):
         pearson(x, np.ones(4))
     with pytest.raises(DimensionMismatch):
@@ -227,3 +218,15 @@ def test_save_load_round_trip(tmp_path):
     assert np.allclose(loaded.w_rec, esn.w_rec, atol=1e-9)
     u = np.random.default_rng(13).normal(size=20)
     assert np.allclose(harvest(loaded, u), harvest(esn, u), atol=1e-9)
+
+
+@pytest.mark.parametrize("entry", [[0, 1, 0.5], [-1, 0, 0.5], [0, 0, float("nan")]])
+def test_load_rejects_malformed_w_in(tmp_path, entry):
+    esn = small_esn(seed=5)
+    path = tmp_path / "esn.json"
+    save_esn(esn, path)
+    doc = json.loads(path.read_text())
+    doc["w_in"].append(entry)  # input_dim is 1, so column 1 is out of range
+    path.write_text(json.dumps(doc))
+    with pytest.raises(HubnetError):
+        load_esn(path)
