@@ -222,13 +222,14 @@ def _execute(spec: TrialSpec, cfg: EsnConfig, mnist: MnistData | None) -> dict:
         test_idx = perm[spec.n_train: spec.n_train + spec.n_test]
 
         esn = init_esn(cfg, model_rng)
-        train_pairs = mnist_sequences(mnist, train_idx)
-        train_states = np.concatenate([harvest(esn, seq) for seq, _ in train_pairs])
-        train_tg = np.concatenate([np.tile(lab, (28, 1)) for _, lab in train_pairs])
+        train_in, train_onehot = mnist_sequences(mnist, train_idx)
+        # image-major rows: image i's 28 column states, then image i + 1's
+        train_states = harvest(esn, train_in).reshape(-1, esn.n)
+        train_tg = np.repeat(train_onehot, train_in.shape[1], axis=0)
         w_out = fit_readout(train_states, train_tg, washout=cfg.washout)
 
-        test_pairs = mnist_sequences(mnist, test_idx)
-        step_scores = [harvest(esn, seq) @ w_out for seq, _ in test_pairs]
+        test_in, _ = mnist_sequences(mnist, test_idx)
+        step_scores = harvest(esn, test_in) @ w_out
         score = majority_vote_accuracy(step_scores, mnist.labels[test_idx])
     else:
         train_in, train_tg, test_in, test_tg = _time_series_split(spec)

@@ -45,6 +45,23 @@ POSITIVE_INT = _int_at_least(1)
 NONNEGATIVE_INT = _int_at_least(0)
 
 
+def _finite_float(accept, rule: str):
+    """argparse type: a finite float for which ``accept`` holds (else exit 2)."""
+    def parse(text: str) -> float:
+        value = float(text)
+        if not (math.isfinite(value) and accept(value)):
+            raise argparse.ArgumentTypeError(f"must be finite and {rule}, got {text}")
+        return value
+    parse.__name__ = "float"
+    return parse
+
+
+# the ranges the config dataclasses enforce, checked as usage errors
+FRACTION = _finite_float(lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+POSITIVE_FLOAT = _finite_float(lambda v: v > 0.0, "> 0")
+NONNEGATIVE_FLOAT = _finite_float(lambda v: v >= 0.0, ">= 0")
+
+
 def _default_seed() -> int:
     env = os.environ.get("HUBNET_SEED")
     return int(env) if env else 0
@@ -52,19 +69,19 @@ def _default_seed() -> int:
 
 def _add_topology_flags(p: argparse.ArgumentParser):
     p.add_argument("--n", type=POSITIVE_INT, required=True, help="node count")
-    p.add_argument("--density", type=float, default=0.2,
+    p.add_argument("--density", type=FRACTION, default=0.2,
                    help="fraction of off-diagonal edges retained (default 0.2)")
-    p.add_argument("--alpha", type=float, default=2.0,
+    p.add_argument("--alpha", type=NONNEGATIVE_FLOAT, default=2.0,
                    help="distance-constraint exponent (default 2)")
-    p.add_argument("--beta", type=float, default=2.0,
+    p.add_argument("--beta", type=NONNEGATIVE_FLOAT, default=2.0,
                    help="index-sum-constraint exponent (default 2)")
-    p.add_argument("--lambda-dc", type=float, default=0.5,
+    p.add_argument("--lambda-dc", type=NONNEGATIVE_FLOAT, default=0.5,
                    help="distance-constraint weight (default 0.5)")
-    p.add_argument("--lambda-nc", type=float, default=0.5,
+    p.add_argument("--lambda-nc", type=NONNEGATIVE_FLOAT, default=0.5,
                    help="index-sum-constraint weight (default 0.5)")
-    p.add_argument("--lambda-reg", type=float, default=0.0,
+    p.add_argument("--lambda-reg", type=NONNEGATIVE_FLOAT, default=0.0,
                    help="random-regularizer weight (default 0)")
-    p.add_argument("--weight-sigma2", type=float, default=1.0 / 3.0,
+    p.add_argument("--weight-sigma2", type=POSITIVE_FLOAT, default=1.0 / 3.0,
                    help="recurrent weight variance (default 1/3)")
 
 
@@ -255,9 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--model", choices=sorted(MODEL_FLAG_TO_NAME),
                            default="hubesn")
         _add_topology_flags(p)
-        p.add_argument("--spec-rad", type=float, default=0.9,
+        p.add_argument("--spec-rad", type=POSITIVE_FLOAT, default=0.9,
                        help="spectral radius of the recurrent matrix (default 0.9)")
-        p.add_argument("--r-sig", type=float, default=0.1,
+        p.add_argument("--r-sig", type=FRACTION, default=0.1,
                        help="fraction of neurons receiving input (default 0.1)")
         p.add_argument("--washout", type=NONNEGATIVE_INT, default=0,
                        help="initial states discarded before fitting (default 0)")

@@ -19,6 +19,7 @@ from .errors import (
     ConstantVector,
     DimensionMismatch,
     EmptySubset,
+    HubnetError,
     ZeroSpectrum,
 )
 from .netmetrics import node_degrees
@@ -138,24 +139,42 @@ def init_esn(cfg: EsnConfig, rng: np.random.Generator | None = None) -> Esn:
 
 
 def harvest(esn: Esn, inputs: np.ndarray, s0: np.ndarray | None = None) -> np.ndarray:
-    """Drive the reservoir with an input sequence; stack the states.
+    """Drive the reservoir with input sequences; stack the states.
 
-    Row t of the result is the state after presenting input row t.
+    ``inputs`` is one sequence, shaped (T,) or (T, d), or a batch of
+    equal-length sequences shaped (B, T, d).  Every sequence starts from
+    ``s0``, or from zeros when it is None.  Entry t along the time axis of
+    the result, (T, n) or (B, T, n), is the state after presenting input
+    row t.
     """
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim == 1:
         inputs = inputs[:, None]
-    if inputs.shape[1] != esn.config.input_dim:
+    u = inputs[None] if inputs.ndim == 2 else inputs
+    if u.ndim != 3 or u.shape[2] != esn.config.input_dim:
         raise DimensionMismatch(
-            f"inputs have dim {inputs.shape[1]}, expected {esn.config.input_dim}"
+            f"inputs have shape {inputs.shape}, expected (T, {esn.config.input_dim})"
+            f" or (B, T, {esn.config.input_dim})"
         )
-    t_len = inputs.shape[0]
-    states = np.empty((t_len, esn.n))
-    s = np.zeros(esn.n) if s0 is None else np.asarray(s0, dtype=float)
+    if not np.isfinite(u).all():
+        raise HubnetError("reservoir inputs must be finite")
+    batch, t_len, _ = u.shape
+    s = np.zeros((batch, esn.n))
+    if s0 is not None:
+        s0 = np.asarray(s0, dtype=float)
+        if s0.shape != (esn.n,):
+            raise DimensionMismatch(f"s0 has shape {s0.shape}, expected ({esn.n},)")
+        if not np.isfinite(s0).all():
+            raise HubnetError("initial state s0 must be finite")
+        s[:] = s0
+    # the drive is computed per step: up front it would be one more
+    # (B, T, n) array, as large as the states themselves
+    w_in_t, w_rec_t = esn.w_in.T, esn.w_rec.T
+    states = np.empty((batch, t_len, esn.n))
     for t in range(t_len):
-        s = np.tanh(esn.w_in @ inputs[t] + esn.w_rec @ s)
-        states[t] = s
-    return states
+        s = np.tanh(u[:, t] @ w_in_t + s @ w_rec_t)
+        states[:, t] = s
+    return states if inputs.ndim == 3 else states[0]
 
 
 def fit_readout(states: np.ndarray, targets: np.ndarray, washout: int = 0) -> np.ndarray:
@@ -177,6 +196,8 @@ def fit_readout(states: np.ndarray, targets: np.ndarray, washout: int = 0) -> np
     if states.shape[0] - washout < 1:
         raise DimensionMismatch("washout leaves no rows to fit")
     s, y = states[washout:], targets[washout:]
+    if not (np.isfinite(s).all() and np.isfinite(y).all()):
+        raise HubnetError("readout states and targets must be finite")
     w_out, *_ = np.linalg.lstsq(s, y, rcond=1e-10)
     return w_out[:, 0] if squeeze else w_out
 
@@ -233,13 +254,19 @@ def esn_to_dict(esn: Esn) -> dict:
 
 
 def esn_from_dict(doc: dict) -> Esn:
-    cfg_doc = dict(doc["config"])
-    cfg_doc["topology"] = TopologyConfig(**cfg_doc["topology"])
-    cfg = EsnConfig(**cfg_doc)
-    network = network_from_dict(doc["network"])
+    try:
+        cfg_doc = dict(doc["config"])
+        cfg_doc["topology"] = TopologyConfig(**cfg_doc["topology"])
+        cfg = EsnConfig(**cfg_doc)
+        net_doc, w_in_doc, mask_doc = doc["network"], doc["w_in"], doc["input_mask"]
+    except KeyError as exc:
+        raise HubnetError(f"ESN JSON lacks key {exc}") from None
+    except TypeError as exc:
+        raise HubnetError(f"malformed ESN JSON config: {exc}") from None
+    network = network_from_dict(net_doc)
     w_rec = scale_spectral_radius(network.weights, cfg.spec_rad)
-    w_in = edges_to_dense(doc["w_in"], (cfg.n, cfg.input_dim))
-    mask = np.asarray(doc["input_mask"], dtype=bool)
+    w_in = edges_to_dense(w_in_doc, (cfg.n, cfg.input_dim))
+    mask = np.asarray(mask_doc, dtype=bool)
     return Esn(w_in=w_in, w_rec=w_rec, input_mask=mask, network=network, config=cfg)
 
 

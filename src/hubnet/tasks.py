@@ -230,18 +230,18 @@ def load_mnist(images_path, labels_path) -> MnistData:
                      labels=labels.astype(np.int64))
 
 
-def mnist_sequences(data: MnistData, indices) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Column-scan selected images into (28x28 input sequence, one-hot label).
+def mnist_sequences(data: MnistData, indices) -> tuple[np.ndarray, np.ndarray]:
+    """Column-scan selected images: inputs (k, 28, 28) and one-hot targets (k, 10).
 
-    Timestep t presents image column t; the same one-hot label is the
-    target at every step.
+    Row t of an image's input sequence is column t of the image; the
+    image's one-hot label is the target at every step.
     """
-    out = []
-    for idx in np.asarray(indices, dtype=int):
-        if idx < 0 or idx >= data.count:
-            raise IndexOutOfRange(f"image index {idx} outside 0..{data.count - 1}")
-        seq = data.images[idx].T.copy()  # row t = column t of the image
-        onehot = np.zeros(10)
-        onehot[data.labels[idx]] = 1.0
-        out.append((seq, onehot))
-    return out
+    idx = np.asarray(indices, dtype=int).reshape(-1)
+    # fancy indexing would silently wrap a negative index
+    bad = (idx < 0) | (idx >= data.count)
+    if bad.any():
+        raise IndexOutOfRange(f"image index {idx[bad][0]} outside 0..{data.count - 1}")
+    inputs = np.ascontiguousarray(data.images[idx].transpose(0, 2, 1))
+    onehot = np.zeros((idx.size, 10))
+    onehot[np.arange(idx.size), data.labels[idx]] = 1.0
+    return inputs, onehot

@@ -267,10 +267,19 @@ def edges_to_dense(edges, shape: tuple[int, int]) -> np.ndarray:
 
 
 def network_from_dict(doc: dict) -> Network:
-    cfg = TopologyConfig(**doc["config"])
-    n = int(doc["n"])
-    weights = edges_to_dense(doc["edges"], (n, n))
-    coords = np.asarray(doc["coords"], dtype=float).reshape(n, 3)
+    try:
+        cfg = TopologyConfig(**doc["config"])
+        n, edges, coords = int(doc["n"]), doc["edges"], doc["coords"]
+    except KeyError as exc:
+        raise HubnetError(f"network JSON lacks key {exc}") from None
+    except TypeError as exc:
+        raise HubnetError(f"malformed network JSON config: {exc}") from None
+    if n != cfg.n:
+        raise HubnetError(f"network JSON has n = {n} but config.n = {cfg.n}")
+    coords = np.asarray(coords, dtype=float).reshape(-1, 3)
+    if coords.shape[0] != n:
+        raise HubnetError(f"network JSON has {coords.shape[0]} coords rows for n = {n}")
+    weights = edges_to_dense(edges, (n, n))
     return Network(weights=weights, coords=coords, config=cfg)
 
 

@@ -153,19 +153,12 @@ def test_csv_outputs(tmp_path):
     assert len(rows) == 3
 
 
-def test_mnist_trial_path(tmp_path):
-    import struct
-
+def test_mnist_trial_path(write_idx):
     rng = np.random.default_rng(0)
     count = 12
     images = rng.integers(0, 256, size=(count, 28, 28), dtype=np.uint8)
     labels = rng.integers(0, 10, size=count, dtype=np.uint8)
-    img = tmp_path / "img.idx"
-    lab = tmp_path / "lab.idx"
-    with open(img, "wb") as fh:
-        fh.write(struct.pack(">IIII", 0x803, count, 28, 28) + images.tobytes())
-    with open(lab, "wb") as fh:
-        fh.write(struct.pack(">II", 0x801, count) + labels.tobytes())
+    img, lab = write_idx(images, labels)
 
     from hubnet.tasks import load_mnist
 

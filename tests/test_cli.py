@@ -2,6 +2,7 @@ import csv
 import json
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from hubnet.cli import main
@@ -87,6 +88,27 @@ def test_malformed_network_json_exits_1(tmp_path, capsys, edge):
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda doc: doc["config"].update(bogus=1),  # unknown config key
+    lambda doc: doc["config"].pop("n"),  # missing config key
+    lambda doc: doc.pop("edges"),  # missing top-level key
+    lambda doc: doc.update(n=21),  # n disagrees with config.n
+    lambda doc: doc["coords"].pop(),  # one coords row short of n
+], ids=["unknown-key", "missing-config-key", "missing-key", "n-mismatch",
+        "coords-short"])
+def test_malformed_network_config_exits_1(tmp_path, capsys, corrupt):
+    net_path = tmp_path / "net.json"
+    run(["gen", "--n", "20", "--seed", "1", "--out", str(net_path)])
+    doc = json.loads(net_path.read_text())
+    corrupt(doc)
+    net_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["metrics", "--in", str(net_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["bench", "--repeats", "0"],
     ["bench", "--jobs", "0"],
@@ -104,6 +126,29 @@ def test_out_of_range_integer_flag_exits_2(tmp_path, capsys, argv):
         run([argv[0]] + [tok for kv in base.items() for tok in kv])
     assert exc.value.code == 2
     assert "must be >=" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--density", "0"],
+    ["gen", "--density", "1.5"],
+    ["gen", "--alpha", "-0.1"],
+    ["gen", "--beta", "nan"],
+    ["gen", "--lambda-reg", "-1"],
+    ["gen", "--weight-sigma2", "inf"],
+    ["bench", "--spec-rad", "-1"],
+    ["bench", "--r-sig", "0"],
+    ["bench", "--lambda-dc", "nan"],
+    ["analyze-readout", "--spec-rad", "0"],
+])
+def test_out_of_range_float_flag_exits_2(tmp_path, capsys, argv):
+    base = {"--n": "20", "--out": str(tmp_path / "r.csv")}
+    if argv[0] != "gen":
+        base.update({"--task": "narma10", "--n-train": "30", "--n-test": "10"})
+    base[argv[1]] = argv[2]
+    with pytest.raises(SystemExit) as exc:
+        run([argv[0]] + [tok for kv in base.items() for tok in kv])
+    assert exc.value.code == 2
+    assert "must be finite and" in capsys.readouterr().err
 
 
 def test_bad_flag_value_exits_2(tmp_path, capsys):
@@ -125,6 +170,23 @@ def test_mnist_without_files_exits_2(tmp_path, capsys):
                 "--n-test", "2", "--repeats", "1",
                 "--out", str(tmp_path / "r.csv")])
     assert code == 2
+
+
+def test_mnist_bench_is_job_count_independent(tmp_path, write_idx):
+    rng = np.random.default_rng(4)
+    img, lab = write_idx(rng.integers(0, 256, size=(16, 28, 28)),
+                         rng.integers(0, 10, size=16))
+    outs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"r{jobs}.csv"
+        assert run(["bench", "--task", "mnist", "--n", "30", "--n-train", "8",
+                    "--n-test", "6", "--repeats", "2", "--seed", "5",
+                    "--jobs", jobs, "--mnist-images", str(img),
+                    "--mnist-labels", str(lab), "--omit-timing",
+                    "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert outs[0].count(b"\n") == 1 + 3 * 2
 
 
 def test_bench_small_run_and_plot(tmp_path):

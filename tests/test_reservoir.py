@@ -127,6 +127,51 @@ def test_harvest_promotes_1d_and_checks_dim():
         harvest(esn, np.ones((5, 3)))
 
 
+@pytest.mark.parametrize("with_s0", [False, True])
+def test_harvest_batch_equals_separate_sequences(with_s0):
+    esn = small_esn(input_dim=28)
+    rng = np.random.default_rng(3)
+    u = rng.uniform(0.0, 1.0, size=(5, 12, 28))
+    s0 = rng.uniform(-0.5, 0.5, size=esn.n) if with_s0 else None
+    batch = harvest(esn, u, s0=s0)
+    assert batch.shape == (5, 12, esn.n)
+    separate = np.stack([harvest(esn, seq, s0=s0) for seq in u])
+    assert np.max(np.abs(batch - separate)) <= 1e-12
+    with pytest.raises(DimensionMismatch):
+        harvest(esn, u[:, :, :27])
+    with pytest.raises(DimensionMismatch):
+        harvest(esn, u[None])
+
+
+def test_harvest_and_fit_readout_reject_non_finite():
+    esn = small_esn()
+    u = np.ones((6, 1))
+    for bad in (np.nan, np.inf):
+        u_bad = u.copy()
+        u_bad[3, 0] = bad
+        with pytest.raises(HubnetError):
+            harvest(esn, u_bad)
+        s0 = np.zeros(esn.n)
+        s0[0] = bad
+        with pytest.raises(HubnetError):
+            harvest(esn, u, s0=s0)
+    with pytest.raises(DimensionMismatch):
+        harvest(esn, u, s0=np.zeros(esn.n + 1))
+    states = harvest(esn, u)
+    targets = np.arange(6.0)
+    nan_states, nan_targets = states.copy(), targets.copy()
+    nan_states[4, 0] = np.nan
+    nan_targets[4] = np.nan
+    with pytest.raises(HubnetError):
+        fit_readout(nan_states, targets)
+    with pytest.raises(HubnetError):
+        fit_readout(states, nan_targets)
+    # rows inside the washout are not fit, so they need not be finite
+    poisoned = states.copy()
+    poisoned[0] = np.nan
+    fit_readout(poisoned, targets, washout=1)
+
+
 def test_fit_readout_recovers_planted_weights():
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -227,6 +272,22 @@ def test_load_rejects_malformed_w_in(tmp_path, entry):
     save_esn(esn, path)
     doc = json.loads(path.read_text())
     doc["w_in"].append(entry)  # input_dim is 1, so column 1 is out of range
+    path.write_text(json.dumps(doc))
+    with pytest.raises(HubnetError):
+        load_esn(path)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda doc: doc["config"].update(bogus=1),
+    lambda doc: doc["config"]["topology"].update(bogus=1),
+    lambda doc: doc["config"].pop("n"),
+    lambda doc: doc.pop("input_mask"),
+], ids=["unknown-key", "unknown-topology-key", "missing-config-key", "missing-key"])
+def test_load_rejects_malformed_esn_config(tmp_path, corrupt):
+    path = tmp_path / "esn.json"
+    save_esn(small_esn(seed=5), path)
+    doc = json.loads(path.read_text())
+    corrupt(doc)
     path.write_text(json.dumps(doc))
     with pytest.raises(HubnetError):
         load_esn(path)

@@ -1,6 +1,3 @@
-import gzip
-import struct
-
 import numpy as np
 import pytest
 
@@ -102,37 +99,15 @@ def test_make_one_step_dataset_alignment():
         make_one_step_dataset(series, 6, 4)
 
 
-def _write_idx(tmp_path, images, labels, gz=False, image_magic=0x803,
-               label_magic=0x801, truncate_images=False, label_count=None):
-    images = np.asarray(images, dtype=np.uint8)
-    labels = np.asarray(labels, dtype=np.uint8)
-    count, rows, cols = images.shape
-    img_bytes = struct.pack(">IIII", image_magic, count, rows, cols) + images.tobytes()
-    if truncate_images:
-        img_bytes = img_bytes[:-5]
-    lab_bytes = struct.pack(">II", label_magic,
-                            label_count if label_count is not None else len(labels))
-    lab_bytes += labels.tobytes()
-    suffix = ".gz" if gz else ""
-    img_path = tmp_path / f"images.idx{suffix}"
-    lab_path = tmp_path / f"labels.idx{suffix}"
-    opener = gzip.open if gz else open
-    with opener(img_path, "wb") as fh:
-        fh.write(img_bytes)
-    with opener(lab_path, "wb") as fh:
-        fh.write(lab_bytes)
-    return img_path, lab_path
-
-
 def _toy_images(count=3):
     rng = np.random.default_rng(0)
     return rng.integers(0, 256, size=(count, 28, 28)), rng.integers(0, 10, size=count)
 
 
-def test_load_mnist_plain_and_gzip(tmp_path):
+def test_load_mnist_plain_and_gzip(write_idx):
     images, labels = _toy_images()
     for gz in (False, True):
-        img, lab = _write_idx(tmp_path, images, labels, gz=gz)
+        img, lab = write_idx(images, labels, gz=gz)
         data = load_mnist(img, lab)
         assert data.count == 3
         assert data.images.shape == (3, 28, 28)
@@ -141,53 +116,49 @@ def test_load_mnist_plain_and_gzip(tmp_path):
         assert np.array_equal(data.labels, labels)
 
 
-def test_load_mnist_bad_magic(tmp_path):
+def test_load_mnist_bad_magic(write_idx):
     images, labels = _toy_images()
-    img, lab = _write_idx(tmp_path, images, labels, image_magic=0x1234)
+    img, lab = write_idx(images, labels, image_magic=0x1234)
     with pytest.raises(BadMagic):
         load_mnist(img, lab)
-    img, lab = _write_idx(tmp_path, images, labels, label_magic=0x9999)
+    img, lab = write_idx(images, labels, label_magic=0x9999)
     with pytest.raises(BadMagic):
         load_mnist(img, lab)
 
 
-def test_load_mnist_truncated(tmp_path):
+def test_load_mnist_truncated(write_idx):
     images, labels = _toy_images()
-    img, lab = _write_idx(tmp_path, images, labels, truncate_images=True)
+    img, lab = write_idx(images, labels, truncate_images=True)
     with pytest.raises(TruncatedFile):
         load_mnist(img, lab)
 
 
-def test_load_mnist_count_mismatch(tmp_path):
+def test_load_mnist_count_mismatch(write_idx):
     images, labels = _toy_images()
     # header claims fewer labels than images; payload is read accordingly
-    img, lab = _write_idx(tmp_path, images, labels[:2], label_count=2)
+    img, lab = write_idx(images, labels[:2], label_count=2)
     with pytest.raises(CountMismatch):
         load_mnist(img, lab)
 
 
-def test_load_mnist_wrong_geometry(tmp_path):
+def test_load_mnist_wrong_geometry(write_idx):
     rng = np.random.default_rng(1)
-    images = rng.integers(0, 256, size=(2, 14, 14))
-    img_path = tmp_path / "img.idx"
-    with open(img_path, "wb") as fh:
-        fh.write(struct.pack(">IIII", 0x803, 2, 14, 14) + images.astype(np.uint8).tobytes())
-    lab_path = tmp_path / "lab.idx"
-    with open(lab_path, "wb") as fh:
-        fh.write(struct.pack(">II", 0x801, 2) + bytes([0, 1]))
+    img, lab = write_idx(rng.integers(0, 256, size=(2, 14, 14)), [0, 1])
     with pytest.raises(DimensionMismatch):
-        load_mnist(img_path, lab_path)
+        load_mnist(img, lab)
 
 
-def test_mnist_sequences_column_scan(tmp_path):
+def test_mnist_sequences_column_scan(write_idx):
     images, labels = _toy_images()
-    img, lab = _write_idx(tmp_path, images, labels)
-    data = load_mnist(img, lab)
-    pairs = mnist_sequences(data, [1])
-    seq, onehot = pairs[0]
-    assert seq.shape == (28, 28)
+    data = load_mnist(*write_idx(images, labels))
+    inputs, onehot = mnist_sequences(data, [1, 2])
+    assert inputs.shape == (2, 28, 28) and onehot.shape == (2, 10)
     # timestep t presents column t of the image
-    assert np.allclose(seq[5], data.images[1][:, 5])
-    assert onehot.sum() == 1.0 and onehot[labels[1]] == 1.0
-    with pytest.raises(IndexOutOfRange):
-        mnist_sequences(data, [3])
+    assert np.array_equal(inputs[0, 5], data.images[1][:, 5])
+    assert np.array_equal(inputs[1, 27], data.images[2][:, 27])
+    assert np.array_equal(onehot.sum(axis=1), [1.0, 1.0])
+    assert onehot[0, labels[1]] == 1.0 and onehot[1, labels[2]] == 1.0
+    # numpy indexing would wrap -1 to the last image
+    for bad in ([3], [0, -1]):
+        with pytest.raises(IndexOutOfRange):
+            mnist_sequences(data, bad)
