@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from hubnet import reservoir
 from hubnet.bench import (
     AggregateResult,
     TrialResult,
@@ -19,6 +20,7 @@ from hubnet.bench import (
     write_results_csv,
 )
 from hubnet.errors import EmptyInput
+from hubnet.tasks import load_mnist
 
 SMALL = dict(n=30, n_train=60, n_test=20)
 
@@ -159,9 +161,6 @@ def test_mnist_trial_path(write_idx):
     images = rng.integers(0, 256, size=(count, 28, 28), dtype=np.uint8)
     labels = rng.integers(0, 10, size=count, dtype=np.uint8)
     img, lab = write_idx(images, labels)
-
-    from hubnet.tasks import load_mnist
-
     data = load_mnist(img, lab)
     s = spec("hubesn", task="mnist", n=30, n_train=8, n_test=4)
     result = run_trial(s, mnist=data)
@@ -171,3 +170,23 @@ def test_mnist_trial_path(write_idx):
     with pytest.raises(EmptyInput):
         run_trial(spec("hubesn", task="mnist", n=30, n_train=10, n_test=4),
                   mnist=data)
+
+
+def test_mnist_trial_fits_through_normal_equations(write_idx, monkeypatch):
+    rng = np.random.default_rng(1)
+    img, lab = write_idx(rng.integers(0, 256, size=(40, 28, 28)),
+                         rng.integers(0, 10, size=40))
+    data = load_mnist(img, lab)
+    s = spec("hubesn", task="mnist", n=50, n_train=30, n_test=10)  # 840 rows >= n
+
+    def no_lstsq(*args, **kwargs):
+        raise AssertionError("well-conditioned MNIST states must skip lstsq")
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "lstsq", no_lstsq)
+        gram = readout_analysis(s, mnist=data)
+    monkeypatch.setattr(reservoir, "_solve_well_conditioned_gram", lambda s, y: None)
+    plain = readout_analysis(s, mnist=data)
+    assert gram["score"] == plain["score"]
+    scale = np.max(np.abs(plain["w_out"]))
+    assert np.max(np.abs(gram["w_out"] - plain["w_out"])) <= 1e-9 * scale

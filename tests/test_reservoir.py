@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from hubnet import bench
 from hubnet.errors import (
     ConstantVector,
     DimensionMismatch,
@@ -25,7 +26,7 @@ from hubnet.reservoir import (
     scale_spectral_radius,
     spectral_radius,
 )
-from hubnet.topology import TopologyConfig
+from hubnet.topology import TopologyConfig, network_to_dict
 
 
 def small_esn(seed=0, **kwargs):
@@ -181,6 +182,57 @@ def test_fit_readout_recovers_planted_weights():
         assert np.max(np.abs(w - w_star)) < 1e-8
 
 
+def lstsq_readout(s, y):
+    return np.linalg.lstsq(s, y, rcond=1e-10)[0]
+
+
+def test_fit_readout_well_conditioned_uses_normal_equations(monkeypatch):
+    rng = np.random.default_rng(14)
+    s = rng.normal(size=(2000, 50))
+    y = rng.normal(size=(2000, 3))
+    expected = lstsq_readout(s, y)
+
+    def no_lstsq(*args, **kwargs):
+        raise AssertionError("a well-conditioned tall fit must not call lstsq")
+
+    monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+    w = fit_readout(s, y)
+    assert np.max(np.abs(w - expected)) <= 1e-9 * np.max(np.abs(expected))
+
+
+def ill_conditioned_states():
+    rng = np.random.default_rng(15)
+    u, _ = np.linalg.qr(rng.normal(size=(400, 30)))
+    v, _ = np.linalg.qr(rng.normal(size=(30, 30)))
+    graded = (u * np.logspace(0, -7, 30)) @ v.T  # cond(S) = 1e7
+    rank_deficient = rng.normal(size=(400, 30))
+    rank_deficient[:, 7] = rank_deficient[:, 3]
+    rank_deficient[:, 12] = 0.0
+    # S^T S = R^T R has unit Cholesky pivots, yet cond(S) = cond(R) = 3.8e7:
+    # only the eigenvalues can reject it
+    unit_pivots = u @ (np.eye(30) - 0.7 * np.triu(np.ones((30, 30)), 1))
+    return {"graded": graded, "rank-deficient": rank_deficient,
+            "unit-pivots": unit_pivots}
+
+
+@pytest.mark.parametrize("kind", ["graded", "rank-deficient", "unit-pivots"])
+def test_fit_readout_ill_conditioned_is_exactly_lstsq(kind):
+    s = ill_conditioned_states()[kind]
+    y = np.random.default_rng(16).normal(size=s.shape[0])
+    assert np.array_equal(fit_readout(s, y), lstsq_readout(s, y))
+    assert np.array_equal(fit_readout(s, y, washout=10), lstsq_readout(s[10:], y[10:]))
+
+
+def test_fit_readout_on_mackey_glass_states_is_exactly_lstsq():
+    spec = bench.TrialSpec(task="mackey_glass", model="hubesn", n=100,
+                           n_train=400, n_test=50)
+    train_in, train_tg, _, _ = bench._time_series_split(spec)
+    esn = init_esn(bench._model_config(spec, None), np.random.default_rng(spec.model_seed))
+    states = harvest(esn, train_in)
+    assert train_tg.shape == (400, 1)
+    assert np.array_equal(fit_readout(states, train_tg), lstsq_readout(states, train_tg))
+
+
 def test_fit_readout_minimum_norm_interpolates_when_underdetermined():
     rng = np.random.default_rng(6)
     s = rng.normal(size=(20, 50))  # fewer rows than columns
@@ -207,6 +259,7 @@ def test_fit_readout_multi_output_shape():
     y = rng.normal(size=(50, 3))
     assert fit_readout(s, y).shape == (12, 3)
     assert fit_readout(s, y[:, 0]).shape == (12,)
+    assert fit_readout(s[:, :0], y).shape == (0, 3)
 
 
 def test_subset_readout_full_subset_matches_plain_fit():
@@ -282,7 +335,11 @@ def test_load_rejects_malformed_w_in(tmp_path, entry):
     lambda doc: doc["config"]["topology"].update(bogus=1),
     lambda doc: doc["config"].pop("n"),
     lambda doc: doc.pop("input_mask"),
-], ids=["unknown-key", "unknown-topology-key", "missing-config-key", "missing-key"])
+    lambda doc: doc.update(network=network_to_dict(init_esn(EsnConfig(n=20)).network)),
+    lambda doc: doc.update(input_mask=doc["input_mask"][:5]),
+    lambda doc: doc["input_mask"].__setitem__(0, [1, 0]),
+], ids=["unknown-key", "unknown-topology-key", "missing-config-key", "missing-key",
+        "network-n-mismatch", "short-input-mask", "ragged-input-mask"])
 def test_load_rejects_malformed_esn_config(tmp_path, corrupt):
     path = tmp_path / "esn.json"
     save_esn(small_esn(seed=5), path)
