@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstantVector, EmptyInput
+from .errors import HubnetError
 from .netmetrics import node_degrees
 from .reservoir import (
     EsnConfig,
@@ -99,9 +99,9 @@ class TrialSpec:
 
     def __post_init__(self):
         if self.task not in TASKS:
-            raise ValueError(f"unknown task {self.task!r}")
+            raise HubnetError(f"unknown task {self.task!r}")
         if self.model not in MODELS:
-            raise ValueError(f"unknown model {self.model!r}")
+            raise HubnetError(f"unknown model {self.model!r}")
 
     @property
     def dataset_seed(self) -> int:
@@ -139,7 +139,7 @@ def rmse(pred: np.ndarray, target: np.ndarray) -> float:
     pred = np.asarray(pred, dtype=float)
     target = np.asarray(target, dtype=float)
     if pred.size == 0 or pred.shape != target.shape:
-        raise EmptyInput("rmse needs two nonempty arrays of equal shape")
+        raise HubnetError("rmse needs two nonempty arrays of equal shape")
     return float(np.sqrt(np.mean((pred - target) ** 2)))
 
 
@@ -152,7 +152,7 @@ def majority_vote_accuracy(step_scores, labels) -> float:
     """
     labels = np.asarray(labels)
     if len(step_scores) == 0 or len(step_scores) != labels.shape[0]:
-        raise EmptyInput("need one score matrix per label")
+        raise HubnetError("need one score matrix per label")
     correct = 0
     for scores, label in zip(step_scores, labels):
         scores = np.asarray(scores, dtype=float)
@@ -165,33 +165,6 @@ def majority_vote_accuracy(step_scores, labels) -> float:
         if int(tied[0]) == int(label):
             correct += 1
     return correct / labels.shape[0]
-
-
-def _model_config(spec: TrialSpec, overrides: dict | None) -> EsnConfig:
-    overrides = dict(overrides or {})
-    topo_mode = "random" if spec.model == "esn" else "hub"
-    injection = "hub" if spec.model == "hubesn" else "random"
-    topo_kwargs = {
-        "n": spec.n,
-        "mode": topo_mode,
-        "seed": spec.model_seed & ((1 << 32) - 1),
-    }
-    for key in ("density", "alpha", "beta", "lambda_dc", "lambda_nc",
-                "lambda_reg", "weight_sigma2"):
-        if key in overrides:
-            topo_kwargs[key] = overrides.pop(key)
-    input_dim = 28 if spec.task == "mnist" else 1
-    output_dim = 10 if spec.task == "mnist" else 1
-    kwargs = {
-        "n": spec.n,
-        "input_dim": input_dim,
-        "output_dim": output_dim,
-        "injection": injection,
-        "seed": topo_kwargs["seed"],
-        "topology": TopologyConfig(**topo_kwargs),
-    }
-    kwargs.update(overrides)
-    return EsnConfig(**kwargs)
 
 
 def _time_series_split(spec: TrialSpec):
@@ -208,15 +181,38 @@ def _time_series_split(spec: TrialSpec):
             ds.targets[spec.n_train: spec.n_train + spec.n_test])
 
 
-def _execute(spec: TrialSpec, cfg: EsnConfig, mnist: MnistData | None) -> dict:
-    """Train one model on the trial's shared dataset; return the full bundle."""
+def readout_analysis(spec: TrialSpec, overrides: dict | None = None,
+                     mnist: MnistData | None = None) -> dict:
+    """Train one model on the trial's shared dataset; return the full bundle.
+
+    ``overrides`` sets topology fields (density, alpha, ...) and any other
+    ``EsnConfig`` field by name.
+    """
+    overrides = dict(overrides or {})
+    topo_kwargs = {
+        "n": spec.n,
+        "mode": "random" if spec.model == "esn" else "hub",
+        "seed": spec.model_seed & ((1 << 32) - 1),
+    }
+    for key in ("density", "alpha", "beta", "lambda_dc", "lambda_nc",
+                "lambda_reg", "weight_sigma2"):
+        if key in overrides:
+            topo_kwargs[key] = overrides.pop(key)
+    cfg = EsnConfig(**{
+        "n": spec.n,
+        "input_dim": 28 if spec.task == "mnist" else 1,
+        "injection": "hub" if spec.model == "hubesn" else "random",
+        "seed": topo_kwargs["seed"],
+        "topology": TopologyConfig(**topo_kwargs),
+        **overrides,
+    })
     model_rng = np.random.default_rng(spec.model_seed)
     if spec.task == "mnist":
         if mnist is None:
-            raise ValueError("mnist task requires loaded MnistData")
+            raise HubnetError("mnist task requires loaded MnistData")
         ds_rng = np.random.default_rng(spec.dataset_seed)
         if spec.n_train + spec.n_test > mnist.count:
-            raise EmptyInput("not enough MNIST images for the requested split")
+            raise HubnetError("not enough MNIST images for the requested split")
         perm = ds_rng.permutation(mnist.count)
         train_idx = perm[: spec.n_train]
         test_idx = perm[spec.n_train: spec.n_train + spec.n_test]
@@ -241,10 +237,6 @@ def _execute(spec: TrialSpec, cfg: EsnConfig, mnist: MnistData | None) -> dict:
 
     w_norm = normalized_readout_weights(w_out, train_states)
     degrees = node_degrees(esn.network)
-    try:
-        corr = pearson(w_norm, degrees)
-    except ConstantVector:
-        corr = None
     return {
         "esn": esn,
         "train_states": train_states,
@@ -252,24 +244,17 @@ def _execute(spec: TrialSpec, cfg: EsnConfig, mnist: MnistData | None) -> dict:
         "score": score,
         "w_norm": w_norm,
         "degrees": degrees,
-        "degree_weight_r": corr,
+        "degree_weight_r": pearson(w_norm, degrees),
     }
-
-
-def readout_analysis(spec: TrialSpec, overrides: dict | None = None,
-                     mnist: MnistData | None = None) -> dict:
-    """Train one model and return per-neuron readout diagnostics."""
-    return _execute(spec, _model_config(spec, overrides), mnist)
 
 
 def run_trial(spec: TrialSpec, overrides: dict | None = None,
               mnist: MnistData | None = None) -> TrialResult:
     """Build the model, run the shared dataset through it, score it."""
-    cfg = _model_config(spec, overrides)
     start = time.perf_counter()
-    bundle = _execute(spec, cfg, mnist)
+    bundle = readout_analysis(spec, overrides, mnist)
     if not np.isfinite(bundle["score"]):
-        raise RuntimeError(f"non-finite score for {spec}")
+        raise HubnetError(f"non-finite score for {spec}")
     return TrialResult(spec=spec, score=bundle["score"],
                        degree_weight_r=bundle["degree_weight_r"],
                        wall_time=time.perf_counter() - start)
@@ -284,7 +269,7 @@ def run_experiment(grid, repeats: int, base_seed: int, jobs: int = 1,
     of the degree of parallelism.
     """
     if repeats < 1:
-        raise ValueError("repeats must be >= 1")
+        raise HubnetError("repeats must be >= 1")
     specs = [
         TrialSpec(task=task, model=model, n=n, n_train=n_train,
                   n_test=n_test, trial_index=t, base_seed=base_seed)

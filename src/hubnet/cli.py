@@ -16,7 +16,6 @@ import sys
 
 from . import bench as bench_mod
 from . import netmetrics, tasks, topology
-from .errors import HubnetError
 
 TASK_FLAG_TO_NAME = {
     "mackey-glass": "mackey_glass",
@@ -319,7 +318,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (HubnetError, OSError, ValueError, RuntimeError, json.JSONDecodeError) as exc:
+    # HubnetError and json.JSONDecodeError are both ValueErrors
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

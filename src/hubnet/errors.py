@@ -1,61 +1,9 @@
-"""Exception types shared across the hubnet modules."""
+"""The one exception type the hubnet modules raise."""
 
 
 class HubnetError(ValueError):
-    """Base class for all hubnet-specific errors."""
+    """Invalid input or a computation that is undefined for it.
 
-
-class AllMassZero(HubnetError):
-    """Every deletable edge has zero pruning mass; the config is unusable."""
-
-
-class ZeroMeanDegree(HubnetError):
-    """Degree CV is undefined on an all-isolated network."""
-
-
-class ZeroTotalWeight(HubnetError):
-    """Modularity is undefined on a graph with no edge weight."""
-
-
-class ZeroSpectrum(HubnetError):
-    """Spectral-radius scaling is undefined for a (numerically) nilpotent matrix."""
-
-
-class DimensionMismatch(HubnetError):
-    """Operand shapes are incompatible."""
-
-
-class EmptySubset(HubnetError):
-    """A readout was requested over an empty set of neurons."""
-
-
-class ConstantVector(HubnetError):
-    """Pearson correlation is undefined when either vector is constant."""
-
-
-class RegenerationExhausted(HubnetError):
-    """Too many consecutive divergent NARMA10 draws; parameters are likely wrong."""
-
-
-class InsufficientLength(HubnetError):
-    """The series is too short for the requested train/test split."""
-
-
-class BadMagic(HubnetError):
-    """An IDX file carries the wrong magic number."""
-
-
-class CountMismatch(HubnetError):
-    """Image and label files disagree on the item count."""
-
-
-class TruncatedFile(HubnetError):
-    """An IDX file ended before its declared payload."""
-
-
-class IndexOutOfRange(HubnetError):
-    """A requested item index is outside the dataset."""
-
-
-class EmptyInput(HubnetError):
-    """An aggregate over zero elements was requested."""
+    Subclassing ``ValueError`` lets a caller that already handles bad
+    values catch it; the message says which case it is.
+    """

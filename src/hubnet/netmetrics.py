@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroMeanDegree, ZeroTotalWeight
+from .errors import HubnetError
 from .topology import Network
 
 __all__ = [
@@ -53,7 +53,7 @@ def heterogeneity_cv(degrees: np.ndarray) -> float:
     degrees = np.asarray(degrees, dtype=float)
     mean = degrees.mean()
     if mean <= 0.0:
-        raise ZeroMeanDegree("mean degree is zero; CV undefined")
+        raise HubnetError("mean degree is zero; CV undefined")
     return float(degrees.std() / mean)
 
 
@@ -71,10 +71,10 @@ def modularity(net, labels: np.ndarray) -> float:
     a = _sym_abs(_as_weights(net))
     labels = np.asarray(labels)
     if labels.shape[0] != a.shape[0]:
-        raise ValueError("label vector length must equal node count")
+        raise HubnetError("label vector length must equal node count")
     two_m = a.sum()
     if two_m <= 0.0:
-        raise ZeroTotalWeight("graph has no edge weight; modularity undefined")
+        raise HubnetError("graph has no edge weight; modularity undefined")
     k = a.sum(axis=1)
     same = labels[:, None] == labels[None, :]
     # sum within communities before dividing: the grouped form
@@ -212,7 +212,7 @@ def degree_summary(degrees: np.ndarray) -> DegreeSummary:
     """
     d = np.asarray(degrees, dtype=float)
     if d.size == 0:
-        raise ValueError("degree vector must be nonempty")
+        raise HubnetError("degree vector must be nonempty")
     mean = float(d.mean())
     sd = float(d.std())
     if sd > 0.0:

@@ -4,8 +4,8 @@ The recurrent matrix comes from the topology module and is rescaled to a
 target spectral radius.  Input reaches only a fraction of the neurons
 (``r_sig``): the highest-degree ones under hub injection, a uniform
 sample otherwise.  The readout is the closed-form least-squares solution
-on the harvested state matrix; subset readouts and normalized-weight
-analysis support the mechanistic comparisons.
+on the harvested state matrix; normalized readout weights support the
+mechanistic comparisons.
 """
 
 from __future__ import annotations
@@ -15,13 +15,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import (
-    ConstantVector,
-    DimensionMismatch,
-    EmptySubset,
-    HubnetError,
-    ZeroSpectrum,
-)
+from .errors import HubnetError
 from .netmetrics import node_degrees
 from .topology import (
     Network,
@@ -40,7 +34,6 @@ __all__ = [
     "init_esn",
     "harvest",
     "fit_readout",
-    "fit_subset_readout",
     "normalized_readout_weights",
     "pearson",
     "save_esn",
@@ -51,6 +44,8 @@ __all__ = [
 # fraction of lambda_max, i.e. cond(S) < 1e5; lstsq's rcond=1e-10 cuts no
 # singular value of such an S
 GRAM_EIG_RATIO = 1e-10
+# the top-level keys of an ESN JSON document, each fact stored once
+ESN_KEYS = ("config", "network", "w_in", "input_mask")
 # |S| is summed this many rows at a time, so no copy of a tall state matrix
 # is made; time-series train matrices fit in one block
 ABS_SUM_ROWS = 4096
@@ -66,7 +61,6 @@ class EsnConfig:
 
     n: int
     input_dim: int = 1
-    output_dim: int = 1
     spec_rad: float = 0.9
     r_sig: float = 0.1
     injection: str = "random"
@@ -76,17 +70,17 @@ class EsnConfig:
 
     def __post_init__(self):
         if not (0.0 < self.r_sig <= 1.0):
-            raise ValueError(f"r_sig must be in (0, 1], got {self.r_sig}")
+            raise HubnetError(f"r_sig must be in (0, 1], got {self.r_sig}")
         if self.spec_rad <= 0.0:
-            raise ValueError("spec_rad must be positive")
+            raise HubnetError("spec_rad must be positive")
         if self.injection not in ("hub", "random"):
-            raise ValueError(f"injection must be 'hub' or 'random', got {self.injection!r}")
+            raise HubnetError(f"injection must be 'hub' or 'random', got {self.injection!r}")
         if self.washout < 0:
-            raise ValueError("washout must be nonnegative")
+            raise HubnetError("washout must be nonnegative")
         if self.topology is None:
             object.__setattr__(self, "topology", TopologyConfig(n=self.n, seed=self.seed))
         elif self.topology.n != self.n:
-            raise ValueError("topology.n must match the reservoir size")
+            raise HubnetError("topology.n must match the reservoir size")
 
     @property
     def n_input_neurons(self) -> int:
@@ -112,7 +106,7 @@ def spectral_radius(w: np.ndarray) -> float:
     """Magnitude of the dominant eigenvalue, from the dense eigenvalues."""
     w = np.asarray(w, dtype=float)
     if w.shape[0] == 0:
-        raise ZeroSpectrum("empty matrix has no spectrum")
+        raise HubnetError("empty matrix has no spectrum")
     return float(np.abs(np.linalg.eigvals(w)).max())
 
 
@@ -120,7 +114,7 @@ def scale_spectral_radius(w: np.ndarray, rho: float) -> np.ndarray:
     """Rescale w so its dominant eigenvalue magnitude equals rho."""
     sr = spectral_radius(w)
     if sr < 1e-12:
-        raise ZeroSpectrum("spectral radius below 1e-12; cannot rescale")
+        raise HubnetError("spectral radius below 1e-12; cannot rescale")
     return w * (rho / sr)
 
 
@@ -160,7 +154,7 @@ def harvest(esn: Esn, inputs: np.ndarray, s0: np.ndarray | None = None) -> np.nd
         inputs = inputs[:, None]
     u = inputs[None] if inputs.ndim == 2 else inputs
     if u.ndim != 3 or u.shape[2] != esn.config.input_dim:
-        raise DimensionMismatch(
+        raise HubnetError(
             f"inputs have shape {inputs.shape}, expected (T, {esn.config.input_dim})"
             f" or (B, T, {esn.config.input_dim})"
         )
@@ -171,7 +165,7 @@ def harvest(esn: Esn, inputs: np.ndarray, s0: np.ndarray | None = None) -> np.nd
     if s0 is not None:
         s0 = np.asarray(s0, dtype=float)
         if s0.shape != (esn.n,):
-            raise DimensionMismatch(f"s0 has shape {s0.shape}, expected ({esn.n},)")
+            raise HubnetError(f"s0 has shape {s0.shape}, expected ({esn.n},)")
         if not np.isfinite(s0).all():
             raise HubnetError("initial state s0 must be finite")
         s[:] = s0
@@ -227,11 +221,9 @@ def fit_readout(states: np.ndarray, targets: np.ndarray, washout: int = 0) -> np
     if squeeze:
         targets = targets[:, None]
     if states.shape[0] != targets.shape[0]:
-        raise DimensionMismatch(
-            f"{states.shape[0]} state rows vs {targets.shape[0]} target rows"
-        )
+        raise HubnetError(f"{states.shape[0]} state rows vs {targets.shape[0]} target rows")
     if states.shape[0] - washout < 1:
-        raise DimensionMismatch("washout leaves no rows to fit")
+        raise HubnetError("washout leaves no rows to fit")
     s, y = states[washout:], targets[washout:]
     if not (np.isfinite(s).all() and np.isfinite(y).all()):
         raise HubnetError("readout states and targets must be finite")
@@ -239,17 +231,6 @@ def fit_readout(states: np.ndarray, targets: np.ndarray, washout: int = 0) -> np
     if w_out is None:
         w_out, *_ = np.linalg.lstsq(s, y, rcond=1e-10)
     return w_out[:, 0] if squeeze else w_out
-
-
-def fit_subset_readout(states: np.ndarray, targets: np.ndarray,
-                       subset: np.ndarray, washout: int = 0) -> np.ndarray:
-    """Readout restricted to the given state columns."""
-    subset = np.asarray(subset)
-    if subset.dtype == bool:
-        subset = np.flatnonzero(subset)
-    if subset.size == 0:
-        raise EmptySubset("subset readout needs at least one neuron")
-    return fit_readout(np.asarray(states)[:, subset], targets, washout)
 
 
 def normalized_readout_weights(w_out: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -262,60 +243,58 @@ def normalized_readout_weights(w_out: np.ndarray, states: np.ndarray) -> np.ndar
     states = np.asarray(states, dtype=float)
     mag = np.abs(w_out) if w_out.ndim == 1 else np.linalg.norm(w_out, axis=1)
     if mag.shape[0] != states.shape[1]:
-        raise DimensionMismatch("readout rows must match state columns")
+        raise HubnetError("readout rows must match state columns")
     col_abs = np.zeros(states.shape[1])
     for start in range(0, states.shape[0], ABS_SUM_ROWS):
         col_abs += np.abs(states[start:start + ABS_SUM_ROWS]).sum(axis=0)
     return mag * col_abs
 
 
-def pearson(x: np.ndarray, y: np.ndarray) -> float:
-    """Pearson correlation coefficient of two equal-length vectors."""
+def pearson(x: np.ndarray, y: np.ndarray) -> float | None:
+    """Pearson correlation coefficient of two equal-length vectors.
+
+    None when either vector is constant, where the coefficient is undefined.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.size < 2:
-        raise DimensionMismatch("need two equal-length vectors of size >= 2")
+        raise HubnetError("need two equal-length vectors of size >= 2")
     xc, yc = x - x.mean(), y - y.mean()
     sx, sy = np.sqrt((xc ** 2).sum()), np.sqrt((yc ** 2).sum())
     if sx == 0.0 or sy == 0.0:
-        raise ConstantVector("correlation undefined for a constant vector")
+        return None
     return float((xc * yc).sum() / (sx * sy))
 
 
 def esn_to_dict(esn: Esn) -> dict:
     rows, cols = np.nonzero(esn.w_in)
     cfg = asdict(esn.config)
-    cfg["topology"] = asdict(esn.config.topology)
+    del cfg["topology"]  # stored once, as the network's config
     return {
         "config": cfg,
         "network": network_to_dict(esn.network),
         "w_in": [[int(i), int(j), float(esn.w_in[i, j])] for i, j in zip(rows, cols)],
         "input_mask": esn.input_mask.astype(int).tolist(),
-        "spec_rad": esn.config.spec_rad,
     }
 
 
 def esn_from_dict(doc: dict) -> Esn:
+    if not isinstance(doc, dict) or set(doc) != set(ESN_KEYS):
+        got = sorted(doc) if isinstance(doc, dict) else type(doc).__name__
+        raise HubnetError(f"ESN JSON must have exactly the keys {list(ESN_KEYS)}, got {got}")
+    network = network_from_dict(doc["network"])
     try:
-        cfg_doc = dict(doc["config"])
-        cfg_doc["topology"] = TopologyConfig(**cfg_doc["topology"])
-        cfg = EsnConfig(**cfg_doc)
-        net_doc, w_in_doc, mask_doc = doc["network"], doc["w_in"], doc["input_mask"]
-    except KeyError as exc:
-        raise HubnetError(f"ESN JSON lacks key {exc}") from None
+        cfg = EsnConfig(**doc["config"], topology=network.config)
     except TypeError as exc:
         raise HubnetError(f"malformed ESN JSON config: {exc}") from None
-    network = network_from_dict(net_doc)
-    if network.n != cfg.n:
-        raise HubnetError(f"ESN network has {network.n} nodes, config.n is {cfg.n}")
     try:
-        mask = np.asarray(mask_doc, dtype=bool)
+        mask = np.asarray(doc["input_mask"], dtype=bool)
     except (TypeError, ValueError) as exc:
         raise HubnetError(f"malformed ESN input_mask: {exc}") from None
     if mask.shape != (cfg.n,):
         raise HubnetError(f"ESN input_mask has shape {mask.shape}, expected ({cfg.n},)")
     w_rec = scale_spectral_radius(network.weights, cfg.spec_rad)
-    w_in = edges_to_dense(w_in_doc, (cfg.n, cfg.input_dim))
+    w_in = edges_to_dense(doc["w_in"], (cfg.n, cfg.input_dim))
     return Esn(w_in=w_in, w_rec=w_rec, input_mask=mask, network=network, config=cfg)
 
 

@@ -15,15 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadMagic,
-    CountMismatch,
-    DimensionMismatch,
-    IndexOutOfRange,
-    InsufficientLength,
-    RegenerationExhausted,
-    TruncatedFile,
-)
+from .errors import HubnetError
 
 __all__ = [
     "MackeyGlassConfig",
@@ -54,11 +46,11 @@ class MackeyGlassConfig:
 
     def __post_init__(self):
         if self.length < 1:
-            raise ValueError("length must be >= 1")
+            raise HubnetError("length must be >= 1")
         if self.tau < 1:
-            raise ValueError("tau must be >= 1")
+            raise HubnetError("tau must be >= 1")
         if self.transient < 0:
-            raise ValueError("transient must be nonnegative")
+            raise HubnetError("transient must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -73,9 +65,9 @@ class NarmaConfig:
 
     def __post_init__(self):
         if self.length < 1:
-            raise ValueError("length must be >= 1")
+            raise HubnetError("length must be >= 1")
         if self.l < 1:
-            raise ValueError("l must be >= 1")
+            raise HubnetError("l must be >= 1")
 
 
 @dataclass
@@ -87,7 +79,7 @@ class Dataset:
 
     def __post_init__(self):
         if self.inputs.shape[0] != self.targets.shape[0]:
-            raise ValueError("inputs and targets must have equal row counts")
+            raise HubnetError("inputs and targets must have equal row counts")
 
 
 @dataclass
@@ -167,7 +159,7 @@ def narma10(cfg: NarmaConfig, rng: np.random.Generator | None = None,
                 inputs=u[: cfg.length, None],
                 targets=x[1: cfg.length + 1, None],
             )
-    raise RegenerationExhausted(
+    raise HubnetError(
         f"{max_attempts} consecutive divergent NARMA draws; check the parameters"
     )
 
@@ -182,9 +174,7 @@ def make_one_step_dataset(series: np.ndarray, n_train: int,
     """
     series = np.asarray(series, dtype=float).reshape(-1)
     if n_train < 0 or n_test < 0 or n_train + n_test > series.shape[0] - 1:
-        raise InsufficientLength(
-            f"need n_train + n_test + 1 <= {series.shape[0]} values"
-        )
+        raise HubnetError(f"need n_train + n_test + 1 <= {series.shape[0]} values")
     inputs = series[:-1, None]
     targets = series[1:, None]
     train = Dataset(inputs=inputs[:n_train], targets=targets[:n_train])
@@ -201,7 +191,7 @@ def _open_maybe_gz(path):
 def _read_exact(fh, count: int, what: str) -> bytes:
     data = fh.read(count)
     if len(data) != count:
-        raise TruncatedFile(f"{what}: expected {count} bytes, got {len(data)}")
+        raise HubnetError(f"{what}: expected {count} bytes, got {len(data)}")
     return data
 
 
@@ -214,18 +204,18 @@ def load_mnist(images_path, labels_path) -> MnistData:
     with _open_maybe_gz(images_path) as fh:
         magic, count, rows, cols = struct.unpack(">IIII", _read_exact(fh, 16, "image header"))
         if magic != IMAGE_MAGIC:
-            raise BadMagic(f"image file magic {magic:#010x}, expected {IMAGE_MAGIC:#010x}")
+            raise HubnetError(f"image file magic {magic:#010x}, expected {IMAGE_MAGIC:#010x}")
         if (rows, cols) != (28, 28):
-            raise DimensionMismatch(f"expected 28x28 images, got {rows}x{cols}")
+            raise HubnetError(f"expected 28x28 images, got {rows}x{cols}")
         payload = _read_exact(fh, count * rows * cols, "image payload")
         images = np.frombuffer(payload, dtype=np.uint8).reshape(count, rows, cols)
     with _open_maybe_gz(labels_path) as fh:
         magic, label_count = struct.unpack(">II", _read_exact(fh, 8, "label header"))
         if magic != LABEL_MAGIC:
-            raise BadMagic(f"label file magic {magic:#010x}, expected {LABEL_MAGIC:#010x}")
+            raise HubnetError(f"label file magic {magic:#010x}, expected {LABEL_MAGIC:#010x}")
         labels = np.frombuffer(_read_exact(fh, label_count, "label payload"), dtype=np.uint8)
     if count != label_count:
-        raise CountMismatch(f"{count} images vs {label_count} labels")
+        raise HubnetError(f"{count} images vs {label_count} labels")
     return MnistData(images=images.astype(float) / 255.0,
                      labels=labels.astype(np.int64))
 
@@ -240,7 +230,7 @@ def mnist_sequences(data: MnistData, indices) -> tuple[np.ndarray, np.ndarray]:
     # fancy indexing would silently wrap a negative index
     bad = (idx < 0) | (idx >= data.count)
     if bad.any():
-        raise IndexOutOfRange(f"image index {idx[bad][0]} outside 0..{data.count - 1}")
+        raise HubnetError(f"image index {idx[bad][0]} outside 0..{data.count - 1}")
     inputs = np.ascontiguousarray(data.images[idx].transpose(0, 2, 1))
     onehot = np.zeros((idx.size, 10))
     onehot[np.arange(idx.size), data.labels[idx]] = 1.0

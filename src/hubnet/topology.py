@@ -13,7 +13,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import AllMassZero, HubnetError
+from .errors import HubnetError
 
 __all__ = [
     "TopologyConfig",
@@ -53,19 +53,19 @@ class TopologyConfig:
 
     def __post_init__(self):
         if self.n < 0:
-            raise ValueError(f"n must be nonnegative, got {self.n}")
+            raise HubnetError(f"n must be nonnegative, got {self.n}")
         if not (0.0 < self.density <= 1.0):
-            raise ValueError(f"density must be in (0, 1], got {self.density}")
+            raise HubnetError(f"density must be in (0, 1], got {self.density}")
         if self.mode not in ("hub", "random"):
-            raise ValueError(f"mode must be 'hub' or 'random', got {self.mode!r}")
+            raise HubnetError(f"mode must be 'hub' or 'random', got {self.mode!r}")
         if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be nonnegative")
+            raise HubnetError("alpha and beta must be nonnegative")
         if min(self.lambda_dc, self.lambda_nc, self.lambda_reg) < 0:
-            raise ValueError("lambda coefficients must be nonnegative")
+            raise HubnetError("lambda coefficients must be nonnegative")
         if self.mode == "hub" and self.lambda_dc + self.lambda_nc + self.lambda_reg <= 0:
-            raise ValueError("hub mode needs at least one positive lambda")
+            raise HubnetError("hub mode needs at least one positive lambda")
         if self.weight_sigma2 <= 0:
-            raise ValueError("weight_sigma2 must be positive")
+            raise HubnetError("weight_sigma2 must be positive")
 
 
 @dataclass
@@ -98,7 +98,7 @@ def target_edge_count(n: int, density: float) -> int:
 def sample_coordinates(n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw i.i.d. standard-normal 3-D coordinates for n nodes."""
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise HubnetError("n must be nonnegative")
     return rng.standard_normal((n, 3))
 
 
@@ -145,7 +145,7 @@ def prune_probabilities(
     )
     total = mass.sum() if n > 0 else 0.0
     if total <= 0.0:
-        raise AllMassZero(
+        raise HubnetError(
             "every deletable edge has zero pruning mass; "
             "check n, the lambdas, and the exponents"
         )

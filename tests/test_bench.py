@@ -19,7 +19,7 @@ from hubnet.bench import (
     write_aggregate_csv,
     write_results_csv,
 )
-from hubnet.errors import EmptyInput
+from hubnet.errors import HubnetError
 from hubnet.tasks import load_mnist
 
 SMALL = dict(n=30, n_train=60, n_test=20)
@@ -55,9 +55,9 @@ def test_model_seeds_differ_across_models():
 def test_rmse_oracle():
     assert rmse(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
     assert rmse(np.array([0.0, 0.0]), np.array([3.0, 4.0])) == pytest.approx(np.sqrt(12.5))
-    with pytest.raises(EmptyInput):
+    with pytest.raises(HubnetError, match="rmse needs two nonempty arrays"):
         rmse(np.array([]), np.array([]))
-    with pytest.raises(EmptyInput):
+    with pytest.raises(HubnetError, match="rmse needs two nonempty arrays"):
         rmse(np.zeros(3), np.zeros(4))
 
 
@@ -70,7 +70,7 @@ def test_majority_vote_accuracy():
     assert acc == 1.0
     acc = majority_vote_accuracy([s1, s2], np.array([0, 0]))
     assert acc == 0.5
-    with pytest.raises(EmptyInput):
+    with pytest.raises(HubnetError, match="one score matrix per label"):
         majority_vote_accuracy([], np.array([]))
 
 
@@ -167,7 +167,7 @@ def test_mnist_trial_path(write_idx):
     assert 0.0 <= result.score <= 1.0
     with pytest.raises(ValueError):
         run_trial(s, mnist=None)
-    with pytest.raises(EmptyInput):
+    with pytest.raises(HubnetError, match="not enough MNIST images"):
         run_trial(spec("hubesn", task="mnist", n=30, n_train=10, n_test=4),
                   mnist=data)
 

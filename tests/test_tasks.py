@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from hubnet.errors import (
-    BadMagic,
-    CountMismatch,
-    DimensionMismatch,
-    IndexOutOfRange,
-    InsufficientLength,
-    TruncatedFile,
-)
+from hubnet.errors import HubnetError
 from hubnet.tasks import (
     MackeyGlassConfig,
     NarmaConfig,
@@ -88,6 +81,12 @@ def test_narma10_bounded():
     assert np.abs(ds.targets).max() <= 1e3
 
 
+def test_narma10_gives_up_on_divergent_parameters():
+    # delta_n = 2000 drives every draw past the 1e3 bound
+    with pytest.raises(HubnetError, match="divergent NARMA draws"):
+        narma10(NarmaConfig(length=50, delta_n=2000.0))
+
+
 def test_make_one_step_dataset_alignment():
     series = np.arange(10.0)
     train, test = make_one_step_dataset(series, 6, 3)
@@ -95,7 +94,7 @@ def test_make_one_step_dataset_alignment():
     assert np.array_equal(train.targets[:, 0], np.arange(1.0, 7.0))
     assert np.array_equal(test.inputs[:, 0], np.array([6.0, 7.0, 8.0]))
     assert np.array_equal(test.targets[:, 0], np.array([7.0, 8.0, 9.0]))
-    with pytest.raises(InsufficientLength):
+    with pytest.raises(HubnetError, match=r"need n_train \+ n_test \+ 1 <= 10 values"):
         make_one_step_dataset(series, 6, 4)
 
 
@@ -119,17 +118,17 @@ def test_load_mnist_plain_and_gzip(write_idx):
 def test_load_mnist_bad_magic(write_idx):
     images, labels = _toy_images()
     img, lab = write_idx(images, labels, image_magic=0x1234)
-    with pytest.raises(BadMagic):
+    with pytest.raises(HubnetError, match="image file magic 0x00001234"):
         load_mnist(img, lab)
     img, lab = write_idx(images, labels, label_magic=0x9999)
-    with pytest.raises(BadMagic):
+    with pytest.raises(HubnetError, match="label file magic 0x00009999"):
         load_mnist(img, lab)
 
 
 def test_load_mnist_truncated(write_idx):
     images, labels = _toy_images()
     img, lab = write_idx(images, labels, truncate_images=True)
-    with pytest.raises(TruncatedFile):
+    with pytest.raises(HubnetError, match="image payload: expected"):
         load_mnist(img, lab)
 
 
@@ -137,14 +136,14 @@ def test_load_mnist_count_mismatch(write_idx):
     images, labels = _toy_images()
     # header claims fewer labels than images; payload is read accordingly
     img, lab = write_idx(images, labels[:2], label_count=2)
-    with pytest.raises(CountMismatch):
+    with pytest.raises(HubnetError, match="3 images vs 2 labels"):
         load_mnist(img, lab)
 
 
 def test_load_mnist_wrong_geometry(write_idx):
     rng = np.random.default_rng(1)
     img, lab = write_idx(rng.integers(0, 256, size=(2, 14, 14)), [0, 1])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(HubnetError, match="expected 28x28 images, got 14x14"):
         load_mnist(img, lab)
 
 
@@ -160,5 +159,5 @@ def test_mnist_sequences_column_scan(write_idx):
     assert onehot[0, labels[1]] == 1.0 and onehot[1, labels[2]] == 1.0
     # numpy indexing would wrap -1 to the last image
     for bad in ([3], [0, -1]):
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(HubnetError, match="outside 0..2"):
             mnist_sequences(data, bad)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hubnet import topology
-from hubnet.errors import AllMassZero
+from hubnet.errors import HubnetError
 from hubnet.topology import (
     Network,
     TopologyConfig,
@@ -79,7 +79,7 @@ def test_prune_probabilities_sum_to_one_with_zero_diagonal():
 def test_prune_probabilities_raise_when_all_mass_vanishes():
     cfg = TopologyConfig(n=5, lambda_dc=1.0, lambda_nc=0.0, lambda_reg=0.0)
     zeros = np.zeros((5, 5))
-    with pytest.raises(AllMassZero):
+    with pytest.raises(HubnetError, match="zero pruning mass"):
         prune_probabilities(zeros, zeros, zeros, cfg)
 
 
