@@ -174,8 +174,7 @@ def _time_series_split(spec: TrialSpec):
         train, test = make_one_step_dataset(series, spec.n_train, spec.n_test)
         return train.inputs, train.targets, test.inputs, test.targets
     # NARMA pairs input u(t) with target x(t+1); no shifted-series split
-    ds_rng = np.random.default_rng(spec.dataset_seed)
-    ds = narma10(NarmaConfig(length=spec.n_train + spec.n_test), ds_rng)
+    ds = narma10(NarmaConfig(length=spec.n_train + spec.n_test, seed=spec.dataset_seed))
     return (ds.inputs[: spec.n_train], ds.targets[: spec.n_train],
             ds.inputs[spec.n_train: spec.n_train + spec.n_test],
             ds.targets[spec.n_train: spec.n_train + spec.n_test])
@@ -192,7 +191,7 @@ def readout_analysis(spec: TrialSpec, overrides: dict | None = None,
     topo_kwargs = {
         "n": spec.n,
         "mode": "random" if spec.model == "esn" else "hub",
-        "seed": spec.model_seed & ((1 << 32) - 1),
+        "seed": spec.model_seed,
     }
     for key in ("density", "alpha", "beta", "lambda_dc", "lambda_nc",
                 "lambda_reg", "weight_sigma2"):
@@ -202,11 +201,10 @@ def readout_analysis(spec: TrialSpec, overrides: dict | None = None,
         "n": spec.n,
         "input_dim": 28 if spec.task == "mnist" else 1,
         "injection": "hub" if spec.model == "hubesn" else "random",
-        "seed": topo_kwargs["seed"],
+        "seed": spec.model_seed,
         "topology": TopologyConfig(**topo_kwargs),
         **overrides,
     })
-    model_rng = np.random.default_rng(spec.model_seed)
     if spec.task == "mnist":
         if mnist is None:
             raise HubnetError("mnist task requires loaded MnistData")
@@ -217,7 +215,7 @@ def readout_analysis(spec: TrialSpec, overrides: dict | None = None,
         train_idx = perm[: spec.n_train]
         test_idx = perm[spec.n_train: spec.n_train + spec.n_test]
 
-        esn = init_esn(cfg, model_rng)
+        esn = init_esn(cfg)
         train_in, train_onehot = mnist_sequences(mnist, train_idx)
         # image-major rows: image i's 28 column states, then image i + 1's
         train_states = harvest(esn, train_in).reshape(-1, esn.n)
@@ -229,7 +227,7 @@ def readout_analysis(spec: TrialSpec, overrides: dict | None = None,
         score = majority_vote_accuracy(step_scores, mnist.labels[test_idx])
     else:
         train_in, train_tg, test_in, test_tg = _time_series_split(spec)
-        esn = init_esn(cfg, model_rng)
+        esn = init_esn(cfg)
         train_states = harvest(esn, train_in)
         w_out = fit_readout(train_states, train_tg, washout=cfg.washout)
         test_states = harvest(esn, test_in, s0=train_states[-1])

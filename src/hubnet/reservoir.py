@@ -10,21 +10,13 @@ mechanistic comparisons.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import HubnetError
 from .netmetrics import node_degrees
-from .topology import (
-    Network,
-    TopologyConfig,
-    edges_to_dense,
-    generate_network,
-    network_from_dict,
-    network_to_dict,
-)
+from .topology import Network, TopologyConfig, generate_network
 
 __all__ = [
     "EsnConfig",
@@ -36,16 +28,12 @@ __all__ = [
     "fit_readout",
     "normalized_readout_weights",
     "pearson",
-    "save_esn",
-    "load_esn",
 ]
 
 # the normal equations are solved only when lambda_min(S^T S) exceeds this
 # fraction of lambda_max, i.e. cond(S) < 1e5; lstsq's rcond=1e-10 cuts no
 # singular value of such an S
 GRAM_EIG_RATIO = 1e-10
-# the top-level keys of an ESN JSON document, each fact stored once
-ESN_KEYS = ("config", "network", "w_in", "input_mask")
 # |S| is summed this many rows at a time, so no copy of a tall state matrix
 # is made; time-series train matrices fit in one block
 ABS_SUM_ROWS = 4096
@@ -57,6 +45,9 @@ class EsnConfig:
 
     ``topology`` defaults to a hub config of matching size; its mode sets
     the recurrent structure while ``injection`` sets where input lands.
+    ``seed`` seeds the network, ``w_in`` and the input mask: ``init_esn``
+    never reads ``topology.seed``, because ``generate_network`` draws from
+    the ESN's stream.  A config is thus the complete description of its ESN.
     """
 
     n: int
@@ -118,10 +109,13 @@ def scale_spectral_radius(w: np.ndarray, rho: float) -> np.ndarray:
     return w * (rho / sr)
 
 
-def init_esn(cfg: EsnConfig, rng: np.random.Generator | None = None) -> Esn:
-    """Build the reservoir: topology, spectral scaling, input matrix, mask."""
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+def init_esn(cfg: EsnConfig) -> Esn:
+    """Build the reservoir: topology, spectral scaling, input matrix, mask.
+
+    Every draw comes from ``default_rng(cfg.seed)``, so the config alone
+    rebuilds the reservoir bit for bit.
+    """
+    rng = np.random.default_rng(cfg.seed)
     network = generate_network(cfg.topology, rng)
     w_rec = scale_spectral_radius(network.weights, cfg.spec_rad)
 
@@ -264,45 +258,3 @@ def pearson(x: np.ndarray, y: np.ndarray) -> float | None:
     if sx == 0.0 or sy == 0.0:
         return None
     return float((xc * yc).sum() / (sx * sy))
-
-
-def esn_to_dict(esn: Esn) -> dict:
-    rows, cols = np.nonzero(esn.w_in)
-    cfg = asdict(esn.config)
-    del cfg["topology"]  # stored once, as the network's config
-    return {
-        "config": cfg,
-        "network": network_to_dict(esn.network),
-        "w_in": [[int(i), int(j), float(esn.w_in[i, j])] for i, j in zip(rows, cols)],
-        "input_mask": esn.input_mask.astype(int).tolist(),
-    }
-
-
-def esn_from_dict(doc: dict) -> Esn:
-    if not isinstance(doc, dict) or set(doc) != set(ESN_KEYS):
-        got = sorted(doc) if isinstance(doc, dict) else type(doc).__name__
-        raise HubnetError(f"ESN JSON must have exactly the keys {list(ESN_KEYS)}, got {got}")
-    network = network_from_dict(doc["network"])
-    try:
-        cfg = EsnConfig(**doc["config"], topology=network.config)
-    except TypeError as exc:
-        raise HubnetError(f"malformed ESN JSON config: {exc}") from None
-    try:
-        mask = np.asarray(doc["input_mask"], dtype=bool)
-    except (TypeError, ValueError) as exc:
-        raise HubnetError(f"malformed ESN input_mask: {exc}") from None
-    if mask.shape != (cfg.n,):
-        raise HubnetError(f"ESN input_mask has shape {mask.shape}, expected ({cfg.n},)")
-    w_rec = scale_spectral_radius(network.weights, cfg.spec_rad)
-    w_in = edges_to_dense(doc["w_in"], (cfg.n, cfg.input_dim))
-    return Esn(w_in=w_in, w_rec=w_rec, input_mask=mask, network=network, config=cfg)
-
-
-def save_esn(esn: Esn, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(esn_to_dict(esn), fh)
-
-
-def load_esn(path) -> Esn:
-    with open(path) as fh:
-        return esn_from_dict(json.load(fh))

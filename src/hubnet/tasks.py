@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 NORM_EPS = 1e-6
+NARMA_MAX_ATTEMPTS = 100
 
 
 @dataclass(frozen=True)
@@ -142,16 +143,15 @@ def narma_recursion(u: np.ndarray, cfg: NarmaConfig) -> np.ndarray:
     return x
 
 
-def narma10(cfg: NarmaConfig, rng: np.random.Generator | None = None,
-            max_attempts: int = 100) -> Dataset:
+def narma10(cfg: NarmaConfig) -> Dataset:
     """NARMA dataset: inputs u(t) ~ U[0, 0.5], targets x(t+1).
 
-    A draw whose targets exceed 1e3 in magnitude is discarded and redrawn
-    from the same stream, up to ``max_attempts`` times.
+    Inputs are drawn from ``default_rng(cfg.seed)``.  A draw whose targets
+    exceed 1e3 in magnitude is discarded and redrawn from the same stream,
+    up to ``NARMA_MAX_ATTEMPTS`` times.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    for _ in range(max_attempts):
+    rng = np.random.default_rng(cfg.seed)
+    for _ in range(NARMA_MAX_ATTEMPTS):
         u = rng.uniform(0.0, 0.5, size=cfg.length + 1)
         x = narma_recursion(u, cfg)
         if np.all(np.isfinite(x)) and np.abs(x).max() <= 1e3:
@@ -160,7 +160,7 @@ def narma10(cfg: NarmaConfig, rng: np.random.Generator | None = None,
                 targets=x[1: cfg.length + 1, None],
             )
     raise HubnetError(
-        f"{max_attempts} consecutive divergent NARMA draws; check the parameters"
+        f"{NARMA_MAX_ATTEMPTS} consecutive divergent NARMA draws; check the parameters"
     )
 
 

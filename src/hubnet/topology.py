@@ -29,6 +29,10 @@ __all__ = [
     "load_network",
 ]
 
+# the top-level keys of a network JSON document; ``n`` repeats ``config.n``
+# for readers of ``hubnet gen`` output and must agree with it on load
+NETWORK_KEYS = ("n", "config", "coords", "edges")
+
 
 @dataclass(frozen=True)
 class TopologyConfig:
@@ -267,11 +271,12 @@ def edges_to_dense(edges, shape: tuple[int, int]) -> np.ndarray:
 
 
 def network_from_dict(doc: dict) -> Network:
+    if not isinstance(doc, dict) or set(doc) != set(NETWORK_KEYS):
+        got = sorted(doc) if isinstance(doc, dict) else type(doc).__name__
+        raise HubnetError(f"network JSON must have exactly the keys {list(NETWORK_KEYS)}, got {got}")
     try:
         cfg = TopologyConfig(**doc["config"])
         n, edges, coords = int(doc["n"]), doc["edges"], doc["coords"]
-    except KeyError as exc:
-        raise HubnetError(f"network JSON lacks key {exc}") from None
     except TypeError as exc:
         raise HubnetError(f"malformed network JSON config: {exc}") from None
     if n != cfg.n:

@@ -172,6 +172,26 @@ def test_mnist_trial_path(write_idx):
                   mnist=data)
 
 
+@pytest.mark.parametrize("task", ["narma10", "mnist"])
+def test_trial_esn_is_rebuilt_from_its_config(write_idx, task):
+    mnist = None
+    if task == "mnist":
+        rng = np.random.default_rng(2)
+        mnist = load_mnist(*write_idx(rng.integers(0, 256, size=(12, 28, 28)),
+                                      rng.integers(0, 10, size=12)))
+        s = spec("hubesn", task="mnist", n=30, n_train=8, n_test=4)
+    else:
+        # a model seed above 2**63, which a 32-bit mask would have changed
+        s = spec("hubesn_rand", task="narma10", n=60, trial=1, seed=3)
+        assert s.model_seed >= 2 ** 63
+    esn = readout_analysis(s, mnist=mnist)["esn"]
+    assert esn.config.seed == esn.config.topology.seed == s.model_seed
+    rebuilt = reservoir.init_esn(esn.config)
+    assert np.array_equal(rebuilt.w_rec, esn.w_rec)
+    assert np.array_equal(rebuilt.w_in, esn.w_in)
+    assert np.array_equal(rebuilt.input_mask, esn.input_mask)
+
+
 def test_mnist_trial_fits_through_normal_equations(write_idx, monkeypatch):
     rng = np.random.default_rng(1)
     img, lab = write_idx(rng.integers(0, 256, size=(40, 28, 28)),

@@ -74,7 +74,7 @@ def test_corrupt_network_json_exits_1(tmp_path, capsys):
     assert run(["metrics", "--in", str(bad)]) == 1
 
 
-@pytest.mark.parametrize("edge", [[-1, 0, 0.5], [0, 1, float("nan")]])
+@pytest.mark.parametrize("edge", [[-1, 0, 0.5], [0, 1, float("nan")], [0, 20, 0.5]])
 def test_malformed_network_json_exits_1(tmp_path, capsys, edge):
     net_path = tmp_path / "net.json"
     run(["gen", "--n", "20", "--seed", "1", "--out", str(net_path)])
@@ -92,9 +92,10 @@ def test_malformed_network_json_exits_1(tmp_path, capsys, edge):
     lambda doc: doc["config"].update(bogus=1),  # unknown config key
     lambda doc: doc["config"].pop("n"),  # missing config key
     lambda doc: doc.pop("edges"),  # missing top-level key
+    lambda doc: doc.update(bogus=1),  # unknown top-level key
     lambda doc: doc.update(n=21),  # n disagrees with config.n
     lambda doc: doc["coords"].pop(),  # one coords row short of n
-], ids=["unknown-key", "missing-config-key", "missing-key", "n-mismatch",
+], ids=["unknown-key", "missing-config-key", "missing-key", "extra-key", "n-mismatch",
         "coords-short"])
 def test_malformed_network_config_exits_1(tmp_path, capsys, corrupt):
     net_path = tmp_path / "net.json"

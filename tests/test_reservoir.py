@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -7,19 +5,16 @@ from hubnet import bench
 from hubnet.errors import HubnetError
 from hubnet.netmetrics import node_degrees
 from hubnet.reservoir import (
-    Esn,
     EsnConfig,
     fit_readout,
     harvest,
     init_esn,
-    load_esn,
     normalized_readout_weights,
     pearson,
-    save_esn,
     scale_spectral_radius,
     spectral_radius,
 )
-from hubnet.topology import TopologyConfig, network_to_dict
+from hubnet.topology import TopologyConfig
 
 
 def small_esn(seed=0, **kwargs):
@@ -285,48 +280,3 @@ def test_fading_memory_smoke():
     assert np.max(np.abs(a[-1] - b[-1])) < 1e-6
 
 
-def test_save_load_round_trip(tmp_path):
-    esn = small_esn(injection="hub", seed=5)
-    path = tmp_path / "esn.json"
-    save_esn(esn, path)
-    loaded = load_esn(path)
-    assert np.array_equal(loaded.w_in, esn.w_in)
-    assert np.array_equal(loaded.input_mask, esn.input_mask)
-    assert np.allclose(loaded.w_rec, esn.w_rec, atol=1e-9)
-    u = np.random.default_rng(13).normal(size=20)
-    assert np.allclose(harvest(loaded, u), harvest(esn, u), atol=1e-9)
-
-
-@pytest.mark.parametrize("entry", [[0, 1, 0.5], [-1, 0, 0.5], [0, 0, float("nan")]])
-def test_load_rejects_malformed_w_in(tmp_path, entry):
-    esn = small_esn(seed=5)
-    path = tmp_path / "esn.json"
-    save_esn(esn, path)
-    doc = json.loads(path.read_text())
-    doc["w_in"].append(entry)  # input_dim is 1, so column 1 is out of range
-    path.write_text(json.dumps(doc))
-    with pytest.raises(HubnetError):
-        load_esn(path)
-
-
-@pytest.mark.parametrize("corrupt", [
-    lambda doc: doc["config"].update(bogus=1),
-    lambda doc: doc["network"]["config"].update(bogus=1),
-    lambda doc: doc["config"].pop("n"),
-    lambda doc: doc.pop("input_mask"),
-    lambda doc: doc.update(network=network_to_dict(init_esn(EsnConfig(n=20)).network)),
-    lambda doc: doc.update(input_mask=doc["input_mask"][:5]),
-    lambda doc: doc["input_mask"].__setitem__(0, [1, 0]),
-    lambda doc: doc.update(spec_rad=doc["config"]["spec_rad"]),
-    lambda doc: doc["config"].update(topology=doc["network"]["config"]),
-], ids=["unknown-key", "unknown-topology-key", "missing-config-key", "missing-key",
-        "network-n-mismatch", "short-input-mask", "ragged-input-mask",
-        "leftover-spec-rad", "leftover-config-topology"])
-def test_load_rejects_malformed_esn_config(tmp_path, corrupt):
-    path = tmp_path / "esn.json"
-    save_esn(small_esn(seed=5), path)
-    doc = json.loads(path.read_text())
-    corrupt(doc)
-    path.write_text(json.dumps(doc))
-    with pytest.raises(HubnetError):
-        load_esn(path)

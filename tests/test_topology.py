@@ -12,6 +12,8 @@ from hubnet.topology import (
     distance_constraint,
     generate_network,
     load_network,
+    network_from_dict,
+    network_to_dict,
     neurogenetic_constraint,
     prune,
     prune_probabilities,
@@ -185,7 +187,40 @@ def test_save_load_round_trip(tmp_path):
     # the file is plain JSON
     with open(path) as fh:
         doc = json.load(fh)
-    assert doc["n"] == 25
+    assert sorted(doc) == ["config", "coords", "edges", "n"]
+    assert doc["n"] == doc["config"]["n"] == 25
+
+
+networks = st.builds(
+    lambda n, mode, density, seed: generate_network(
+        TopologyConfig(n=n, mode=mode, density=density, seed=seed)),
+    n=st.integers(min_value=0, max_value=40),
+    mode=st.sampled_from(["hub", "random"]),
+    density=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(net=networks)
+def test_network_json_round_trip_is_exact(net):
+    loaded = network_from_dict(json.loads(json.dumps(network_to_dict(net))))
+    assert np.array_equal(loaded.weights, net.weights)
+    assert np.array_equal(loaded.coords, net.coords)
+    assert loaded.config == net.config
+
+
+@settings(max_examples=50, deadline=None)
+@given(net=networks, data=st.data())
+def test_network_json_rejects_any_other_key_set(net, data):
+    doc = network_to_dict(net)
+    if data.draw(st.booleans(), label="drop a key"):
+        del doc[data.draw(st.sampled_from(sorted(doc)), label="dropped")]
+    else:
+        extra = data.draw(st.text().filter(lambda key: key not in doc), label="added")
+        doc[extra] = data.draw(st.none() | st.integers() | st.text(), label="value")
+    with pytest.raises(HubnetError, match="exactly the keys"):
+        network_from_dict(json.loads(json.dumps(doc)))
 
 
 @settings(max_examples=25, deadline=None)
