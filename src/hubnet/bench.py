@@ -25,6 +25,7 @@ from .reservoir import (
     init_esn,
     normalized_readout_weights,
     pearson,
+    readout_from_gram,
 )
 from .tasks import (
     MackeyGlassConfig,
@@ -59,6 +60,12 @@ _TASK_ID = {name: i + 1 for i, name in enumerate(TASKS)}
 _MODEL_ID = {name: i + 1 for i, name in enumerate(MODELS)}
 
 _MASK64 = (1 << 64) - 1
+
+# state rows an MNIST trial harvests at a time: blocks of ceil(4096 / 28) =
+# 147 images, so no trial holds its whole state matrix; smaller blocks
+# make more, smaller matrix products (50-image blocks measured about 6%
+# slower per n = 500 trial at one BLAS thread)
+STATE_BLOCK_ROWS = 4096
 
 
 def _splitmix64(x: int) -> int:
@@ -180,6 +187,56 @@ def _time_series_split(spec: TrialSpec):
             ds.targets[spec.n_train: spec.n_train + spec.n_test])
 
 
+def _mnist_blocks(mnist: MnistData, indices: np.ndarray):
+    """``mnist_sequences`` of ``indices``, a block of images at a time."""
+    size = -(-STATE_BLOCK_ROWS // mnist.images.shape[2])
+    for start in range(0, len(indices), size):
+        yield mnist_sequences(mnist, indices[start:start + size])
+
+
+def _add_block_sums(gram, sty, col_abs, esn, inputs, onehot, skip: int) -> None:
+    """Add one block's S^T S and S^T Y past its first ``skip`` rows, and its column sums of |S|.
+
+    The block's states are freed on return, so the caller holds one block
+    at a time.
+    """
+    states = harvest(esn, inputs).reshape(-1, esn.n)
+    s = states[skip:]
+    y = np.repeat(onehot, inputs.shape[1], axis=0)[skip:]
+    gram += s.T @ s
+    sty += s.T @ y
+    # |S| overwrites the states, which the products no longer need
+    col_abs += np.abs(states, out=states).sum(axis=0)
+
+
+def _mnist_readout(esn, mnist: MnistData, train_idx: np.ndarray):
+    """MNIST readout and column sums of |S|, without holding the state matrix S.
+
+    S holds image-major rows: image i's column states, then image i + 1's.
+    S^T S, S^T Y and the column sums of |S| are summed one block of images
+    at a time; the fit drops the first ``washout`` rows wherever they
+    fall.  When ``readout_from_gram`` rejects, or S has fewer rows than
+    columns or a non-finite entry, S is harvested again whole (the same
+    bits) and fit by ``fit_readout``.
+    """
+    n, washout = esn.n, esn.config.washout
+    gram, sty, col_abs = np.zeros((n, n)), np.zeros((n, 10)), np.zeros(n)
+    skip = washout
+    for inputs, onehot in _mnist_blocks(mnist, train_idx):
+        _add_block_sums(gram, sty, col_abs, esn, inputs, onehot, skip)
+        skip = max(skip - inputs.shape[0] * inputs.shape[1], 0)
+    rows = len(train_idx) * mnist.images.shape[2] - washout
+    # a non-finite state makes its diagonal entry of S^T S non-finite
+    if n <= rows and np.isfinite(gram).all():
+        w_out = readout_from_gram(gram, sty)
+        if w_out is not None:
+            return w_out, col_abs
+    train_in, train_onehot = mnist_sequences(mnist, train_idx)
+    states = harvest(esn, train_in).reshape(-1, n)
+    targets = np.repeat(train_onehot, train_in.shape[1], axis=0)
+    return fit_readout(states, targets, washout=washout), col_abs
+
+
 def readout_analysis(spec: TrialSpec, overrides: dict | None = None,
                      mnist: MnistData | None = None) -> dict:
     """Train one model on the trial's shared dataset; return the full bundle.
@@ -216,14 +273,9 @@ def readout_analysis(spec: TrialSpec, overrides: dict | None = None,
         test_idx = perm[spec.n_train: spec.n_train + spec.n_test]
 
         esn = init_esn(cfg)
-        train_in, train_onehot = mnist_sequences(mnist, train_idx)
-        # image-major rows: image i's 28 column states, then image i + 1's
-        train_states = harvest(esn, train_in).reshape(-1, esn.n)
-        train_tg = np.repeat(train_onehot, train_in.shape[1], axis=0)
-        w_out = fit_readout(train_states, train_tg, washout=cfg.washout)
-
-        test_in, _ = mnist_sequences(mnist, test_idx)
-        step_scores = harvest(esn, test_in) @ w_out
+        w_out, col_abs = _mnist_readout(esn, mnist, train_idx)
+        step_scores = [scores for inputs, _ in _mnist_blocks(mnist, test_idx)
+                       for scores in harvest(esn, inputs) @ w_out]
         score = majority_vote_accuracy(step_scores, mnist.labels[test_idx])
     else:
         train_in, train_tg, test_in, test_tg = _time_series_split(spec)
@@ -232,12 +284,12 @@ def readout_analysis(spec: TrialSpec, overrides: dict | None = None,
         w_out = fit_readout(train_states, train_tg, washout=cfg.washout)
         test_states = harvest(esn, test_in, s0=train_states[-1])
         score = rmse(test_states @ w_out, test_tg)
+        col_abs = np.abs(train_states).sum(axis=0)
 
-    w_norm = normalized_readout_weights(w_out, train_states)
+    w_norm = normalized_readout_weights(w_out, col_abs)
     degrees = node_degrees(esn.network)
     return {
         "esn": esn,
-        "train_states": train_states,
         "w_out": w_out,
         "score": score,
         "w_norm": w_norm,

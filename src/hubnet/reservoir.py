@@ -25,6 +25,7 @@ __all__ = [
     "scale_spectral_radius",
     "init_esn",
     "harvest",
+    "readout_from_gram",
     "fit_readout",
     "normalized_readout_weights",
     "pearson",
@@ -34,9 +35,6 @@ __all__ = [
 # fraction of lambda_max, i.e. cond(S) < 1e5; lstsq's rcond=1e-10 cuts no
 # singular value of such an S
 GRAM_EIG_RATIO = 1e-10
-# |S| is summed this many rows at a time, so no copy of a tall state matrix
-# is made; time-series train matrices fit in one block
-ABS_SUM_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -47,7 +45,8 @@ class EsnConfig:
     the recurrent structure while ``injection`` sets where input lands.
     ``seed`` seeds the network, ``w_in`` and the input mask: ``init_esn``
     never reads ``topology.seed``, because ``generate_network`` draws from
-    the ESN's stream.  A config is thus the complete description of its ESN.
+    the ESN's stream, so a ``topology.seed`` other than ``seed`` is
+    rejected.  A config is thus the complete description of its ESN.
     """
 
     n: int
@@ -72,6 +71,9 @@ class EsnConfig:
             object.__setattr__(self, "topology", TopologyConfig(n=self.n, seed=self.seed))
         elif self.topology.n != self.n:
             raise HubnetError("topology.n must match the reservoir size")
+        elif self.topology.seed != self.seed:
+            raise HubnetError(
+                f"topology.seed {self.topology.seed} must equal the ESN seed {self.seed}")
 
     @property
     def n_input_neurons(self) -> int:
@@ -173,14 +175,15 @@ def harvest(esn: Esn, inputs: np.ndarray, s0: np.ndarray | None = None) -> np.nd
     return states if inputs.ndim == 3 else states[0]
 
 
-def _solve_well_conditioned_gram(s: np.ndarray, y: np.ndarray) -> np.ndarray | None:
-    """(S^T S)^{-1} S^T Y when eigvalsh proves S^T S well conditioned, else None.
+def readout_from_gram(gram: np.ndarray, sty: np.ndarray) -> np.ndarray | None:
+    """Solve gram @ w = sty when eigvalsh proves gram well conditioned, else None.
 
-    Cholesky either fails or gives pivots whose squared-diagonal ratio is
-    an upper bound on lambda_min / lambda_max, so it can reject cheaply but
-    never accept; only the eigenvalues accept.
+    ``gram`` is S^T S and ``sty`` is S^T Y for a state matrix S with at
+    least as many rows as columns.  Cholesky either fails or gives pivots
+    whose squared-diagonal ratio is an upper bound on lambda_min /
+    lambda_max, so it can reject cheaply but never accept; only the
+    eigenvalues accept.
     """
-    gram = s.T @ s
     try:
         pivots = np.diag(np.linalg.cholesky(gram)) ** 2
     except np.linalg.LinAlgError:
@@ -190,7 +193,7 @@ def _solve_well_conditioned_gram(s: np.ndarray, y: np.ndarray) -> np.ndarray | N
     lam = np.linalg.eigvalsh(gram)
     if lam[0] <= GRAM_EIG_RATIO * lam[-1]:
         return None
-    return np.linalg.solve(gram, s.T @ y)
+    return np.linalg.solve(gram, sty)
 
 
 def fit_readout(states: np.ndarray, targets: np.ndarray, washout: int = 0) -> np.ndarray:
@@ -221,26 +224,24 @@ def fit_readout(states: np.ndarray, targets: np.ndarray, washout: int = 0) -> np
     s, y = states[washout:], targets[washout:]
     if not (np.isfinite(s).all() and np.isfinite(y).all()):
         raise HubnetError("readout states and targets must be finite")
-    w_out = _solve_well_conditioned_gram(s, y) if 0 < s.shape[1] <= s.shape[0] else None
+    w_out = readout_from_gram(s.T @ s, s.T @ y) if 0 < s.shape[1] <= s.shape[0] else None
     if w_out is None:
         w_out, *_ = np.linalg.lstsq(s, y, rcond=1e-10)
     return w_out[:, 0] if squeeze else w_out
 
 
-def normalized_readout_weights(w_out: np.ndarray, states: np.ndarray) -> np.ndarray:
+def normalized_readout_weights(w_out: np.ndarray, col_abs: np.ndarray) -> np.ndarray:
     """Per-neuron readout importance, magnitude-corrected.
 
-    |w_out_i| times the summed absolute state of neuron i over time; for
-    multi-output readouts the L2 norm of row i stands in for |w_out_i|.
+    |w_out_i| times ``col_abs[i]``, the summed absolute state of neuron i
+    over time (``np.abs(states).sum(axis=0)``); for multi-output readouts
+    the L2 norm of row i stands in for |w_out_i|.
     """
     w_out = np.asarray(w_out, dtype=float)
-    states = np.asarray(states, dtype=float)
+    col_abs = np.asarray(col_abs, dtype=float)
     mag = np.abs(w_out) if w_out.ndim == 1 else np.linalg.norm(w_out, axis=1)
-    if mag.shape[0] != states.shape[1]:
+    if mag.shape != col_abs.shape:
         raise HubnetError("readout rows must match state columns")
-    col_abs = np.zeros(states.shape[1])
-    for start in range(0, states.shape[0], ABS_SUM_ROWS):
-        col_abs += np.abs(states[start:start + ABS_SUM_ROWS]).sum(axis=0)
     return mag * col_abs
 
 

@@ -166,9 +166,10 @@ def prune(
 
     A weighted sample without replacement via exponential order
     statistics: each deletable edge gets key Exp(1)/p_ij and the
-    d_remove smallest keys are deleted.  Zero-mass edges only go once
-    positive-mass edges are exhausted, in which case the deficit is
-    removed uniformly from the survivors.
+    d_remove smallest keys are deleted, equal keys in row-major edge
+    order (the set a stable sort of the keys would take).  Zero-mass edges
+    only go once positive-mass edges are exhausted, in which case the
+    deficit is removed uniformly from the survivors.
     """
     n = dense.shape[0]
     out = dense.copy()
@@ -178,8 +179,8 @@ def prune(
     if d_remove <= 0:
         return out
 
-    off_rows, off_cols = np.where(~np.eye(n, dtype=bool))
-    masses = p[off_rows, off_cols]
+    off_diag = np.flatnonzero(~np.eye(n, dtype=bool))
+    masses = p.reshape(-1)[off_diag]
     keys = rng.exponential(size=total)
     positive = masses > 0.0
 
@@ -189,8 +190,10 @@ def prune(
     if take_weighted > 0:
         wkeys = np.full(total, np.inf)
         wkeys[positive] = keys[positive] / masses[positive]
-        order = np.argsort(wkeys, kind="stable")
-        removed[order[:take_weighted]] = True
+        cut = np.partition(wkeys, take_weighted - 1)[take_weighted - 1]
+        removed = wkeys < cut
+        ties = np.flatnonzero(wkeys == cut)
+        removed[ties[:take_weighted - int(removed.sum())]] = True
 
     deficit = d_remove - take_weighted
     if deficit > 0:
@@ -198,7 +201,7 @@ def prune(
         extra = rng.choice(survivors, size=deficit, replace=False)
         removed[extra] = True
 
-    out[off_rows[removed], off_cols[removed]] = 0.0
+    out.flat[off_diag[removed]] = 0.0
     return out
 
 

@@ -1,9 +1,10 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hubnet import reservoir
+from hubnet import bench, reservoir
 from hubnet.bench import (
     AggregateResult,
     TrialResult,
@@ -20,7 +21,7 @@ from hubnet.bench import (
     write_results_csv,
 )
 from hubnet.errors import HubnetError
-from hubnet.tasks import load_mnist
+from hubnet.tasks import MnistData, load_mnist, mnist_sequences
 
 SMALL = dict(n=30, n_train=60, n_test=20)
 
@@ -205,8 +206,81 @@ def test_mnist_trial_fits_through_normal_equations(write_idx, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(np.linalg, "lstsq", no_lstsq)
         gram = readout_analysis(s, mnist=data)
-    monkeypatch.setattr(reservoir, "_solve_well_conditioned_gram", lambda s, y: None)
+    reject_gram_solves(monkeypatch)
     plain = readout_analysis(s, mnist=data)
     assert gram["score"] == plain["score"]
     scale = np.max(np.abs(plain["w_out"]))
     assert np.max(np.abs(gram["w_out"] - plain["w_out"])) <= 1e-9 * scale
+
+
+def reject_gram_solves(monkeypatch):
+    """Make every Gram gate reject, the streamed one and fit_readout's."""
+    for module in (bench, reservoir):
+        monkeypatch.setattr(module, "readout_from_gram", lambda gram, sty: None)
+
+
+def synthetic_mnist(count, seed=0):
+    rng = np.random.default_rng(seed)
+    return MnistData(images=rng.uniform(size=(count, 28, 28)),
+                     labels=rng.integers(0, 10, size=count))
+
+
+def whole_train_states(s, data, bundle):
+    """The train-state matrix and targets of an MNIST trial, harvested at once."""
+    train_idx = np.random.default_rng(s.dataset_seed).permutation(data.count)[:s.n_train]
+    train_in, onehot = mnist_sequences(data, train_idx)
+    states = reservoir.harvest(bundle["esn"], train_in).reshape(-1, s.n)
+    return states, np.repeat(onehot, 28, axis=0)
+
+
+# 4,116-row blocks of 147 images: washout 30 ends inside the second image,
+# washout 4,200 inside the second block; 200 images leave a partial block
+@pytest.mark.parametrize("washout", [0, 30, 4200])
+def test_streamed_mnist_readout_matches_fit_on_whole_states(monkeypatch, washout):
+    data = synthetic_mnist(230)
+    s = spec("hubesn", task="mnist", n=50, n_train=200, n_test=30)
+    overrides = {"washout": washout}
+    streamed = readout_analysis(s, overrides, mnist=data)
+    states, targets = whole_train_states(s, data, streamed)
+    w_ref = reservoir.fit_readout(states, targets, washout=washout)
+    assert np.max(np.abs(streamed["w_out"] - w_ref)) <= 1e-9 * np.max(np.abs(w_ref))
+    w_norm_ref = reservoir.normalized_readout_weights(w_ref, np.abs(states).sum(axis=0))
+    assert np.allclose(streamed["w_norm"], w_norm_ref, rtol=1e-8, atol=0.0)
+
+    test_idx = np.random.default_rng(s.dataset_seed).permutation(data.count)[200:230]
+    test_in, _ = mnist_sequences(data, test_idx)
+    step_scores = reservoir.harvest(streamed["esn"], test_in) @ w_ref
+    assert streamed["score"] == majority_vote_accuracy(step_scores, data.labels[test_idx])
+
+    # a rejected gate re-harvests the whole state matrix and runs lstsq on it
+    reject_gram_solves(monkeypatch)
+    rejected = readout_analysis(s, overrides, mnist=data)
+    lstsq = np.linalg.lstsq(states[washout:], targets[washout:], rcond=1e-10)[0]
+    assert np.array_equal(rejected["w_out"], lstsq)
+
+
+def test_streamed_mnist_readout_rejects_non_finite_states(monkeypatch):
+    harvest = reservoir.harvest
+
+    def poisoned(esn, inputs, s0=None):
+        states = harvest(esn, inputs, s0)
+        states[-1, -1, 0] = np.nan
+        return states
+
+    monkeypatch.setattr(bench, "harvest", poisoned)
+    s = spec("hubesn", task="mnist", n=30, n_train=20, n_test=5)
+    with pytest.raises(HubnetError, match="readout states and targets must be finite"):
+        readout_analysis(s, mnist=synthetic_mnist(25))
+
+
+def test_mnist_trial_never_holds_its_train_state_matrix():
+    data = synthetic_mnist(1020)
+    s = spec("hubesn", task="mnist", n=60, n_train=1000, n_test=20)
+    state_bytes = s.n_train * 28 * s.n * 8  # 13.4 MB
+    tracemalloc.start()
+    try:
+        readout_analysis(s, mnist=data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < state_bytes / 2

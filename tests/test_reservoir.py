@@ -32,6 +32,9 @@ def test_config_validation():
         EsnConfig(n=10, washout=-1)
     with pytest.raises(ValueError):
         EsnConfig(n=10, topology=TopologyConfig(n=11))
+    # init_esn never reads topology.seed, so it may not disagree with seed
+    with pytest.raises(HubnetError, match="topology.seed 5 must equal the ESN seed 1"):
+        EsnConfig(n=20, seed=1, topology=TopologyConfig(n=20, seed=5))
 
 
 def test_default_topology_matches_size_and_seed():
@@ -214,8 +217,8 @@ def test_fit_readout_ill_conditioned_is_exactly_lstsq(kind):
 def test_fit_readout_on_mackey_glass_states_is_exactly_lstsq():
     spec = bench.TrialSpec(task="mackey_glass", model="hubesn", n=100,
                            n_train=400, n_test=50)
-    _, train_tg, _, _ = bench._time_series_split(spec)
-    states = bench.readout_analysis(spec)["train_states"]
+    train_in, train_tg, _, _ = bench._time_series_split(spec)
+    states = harvest(bench.readout_analysis(spec)["esn"], train_in)
     assert train_tg.shape == (400, 1)
     assert np.array_equal(fit_readout(states, train_tg), lstsq_readout(states, train_tg))
 
@@ -250,16 +253,16 @@ def test_fit_readout_multi_output_shape():
 
 
 def test_normalized_readout_weights():
-    states = np.array([[1.0, -2.0], [3.0, 0.0]])
+    col_abs = np.abs(np.array([[1.0, -2.0], [3.0, 0.0]])).sum(axis=0)
     w = np.array([0.5, -4.0])
     expected = np.array([0.5 * 4.0, 4.0 * 2.0])
-    assert np.allclose(normalized_readout_weights(w, states), expected)
+    assert np.allclose(normalized_readout_weights(w, col_abs), expected)
     # multi-output: row L2 norm substitutes for |w|
     w2 = np.array([[3.0, 4.0], [0.0, 1.0]])
     expected2 = np.array([5.0 * 4.0, 1.0 * 2.0])
-    assert np.allclose(normalized_readout_weights(w2, states), expected2)
+    assert np.allclose(normalized_readout_weights(w2, col_abs), expected2)
     with pytest.raises(HubnetError, match="readout rows must match state columns"):
-        normalized_readout_weights(np.ones(3), states)
+        normalized_readout_weights(np.ones(3), col_abs)
 
 
 def test_pearson_oracles():

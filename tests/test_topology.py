@@ -168,6 +168,74 @@ def test_prune_deletes_high_mass_edges_preferentially():
     assert np.mean(kept_mass) < 0.8 * overall
 
 
+def stable_sort_prune(dense, p, density, rng):
+    """Reference prune: delete the d_remove first keys of a stable argsort."""
+    n = dense.shape[0]
+    out = dense.copy()
+    np.fill_diagonal(out, 0.0)
+    total = n * (n - 1)
+    d_remove = total - target_edge_count(n, density)
+    rows, cols = np.where(~np.eye(n, dtype=bool))
+    masses = p[rows, cols]
+    keys = rng.exponential(size=total)
+    positive = masses > 0.0
+    removed = np.zeros(total, dtype=bool)
+    take = min(d_remove, int(positive.sum()))
+    wkeys = np.full(total, np.inf)
+    wkeys[positive] = keys[positive] / masses[positive]
+    removed[np.argsort(wkeys, kind="stable")[:take]] = True
+    if d_remove > take:
+        survivors = np.flatnonzero(~removed)
+        removed[rng.choice(survivors, size=d_remove - take, replace=False)] = True
+    out[rows[removed], cols[removed]] = 0.0
+    return out
+
+
+class RepeatingExponentials:
+    """Generator stand-in whose exponential draws cycle through three values,
+    so that many keys tie at the cut."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def exponential(self, size):
+        return np.resize([0.5, 1.0, 2.0], size)
+
+    def choice(self, *args, **kwargs):
+        return self.rng.choice(*args, **kwargs)
+
+
+def pruning_inputs(mode, n, seed):
+    rng = np.random.default_rng(seed)
+    cfg = TopologyConfig(n=n, mode=mode, seed=seed)
+    coords = sample_coordinates(n, rng)
+    dense = rng.normal(size=(n, n))
+    if mode == "hub":
+        p = prune_probabilities(distance_constraint(coords), neurogenetic_constraint(n),
+                                rng.normal(size=(n, n)), cfg)
+    else:
+        p = 1.0 - np.eye(n)
+    return dense, p, cfg.density
+
+
+@pytest.mark.parametrize("mode", ["hub", "random"])
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("rng_kind", ["generator", "repeating"])
+def test_prune_equals_stable_sort_oracle(mode, seed, rng_kind):
+    dense, p, density = pruning_inputs(mode, 500, seed)
+    make_rng = np.random.default_rng if rng_kind == "generator" else RepeatingExponentials
+    out = prune(dense, p, density, make_rng(seed + 100))
+    assert np.array_equal(out, stable_sort_prune(dense, p, density, make_rng(seed + 100)))
+
+
+def test_prune_with_tied_keys_and_zero_masses_equals_stable_sort_oracle():
+    # half the edges carry no mass, so the deficit falls to uniform deletion
+    dense, p, _ = pruning_inputs("hub", 30, 3)
+    p[:, ::2] = 0.0
+    out = prune(dense, p, 0.1, RepeatingExponentials(3))
+    assert np.array_equal(out, stable_sort_prune(dense, p, 0.1, RepeatingExponentials(3)))
+
+
 def test_hub_mode_concentrates_degree_on_low_indices():
     from hubnet.netmetrics import node_degrees
 
