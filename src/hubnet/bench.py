@@ -25,7 +25,7 @@ from .reservoir import (
     init_esn,
     normalized_readout_weights,
     pearson,
-    readout_from_gram,
+    stream_readout,
 )
 from .tasks import (
     MackeyGlassConfig,
@@ -153,25 +153,27 @@ def rmse(pred: np.ndarray, target: np.ndarray) -> float:
 def majority_vote_accuracy(step_scores, labels) -> float:
     """Classification accuracy under per-timestep majority voting.
 
-    Each of an image's timesteps votes the argmax of its score vector;
-    vote ties break toward the class with the largest summed score, then
-    the lowest class index.
+    ``step_scores`` holds one (T, C) score matrix per image, for example
+    as a (k, T, C) array.  Each of an image's timesteps votes the argmax
+    of its score vector; vote ties break toward the class with the largest
+    summed score, then the lowest class index.
     """
     labels = np.asarray(labels)
-    if len(step_scores) == 0 or len(step_scores) != labels.shape[0]:
+    lengths = [len(scores) for scores in step_scores]
+    if not lengths or len(lengths) != labels.shape[0]:
         raise HubnetError("need one score matrix per label")
-    correct = 0
-    for scores, label in zip(step_scores, labels):
-        scores = np.asarray(scores, dtype=float)
-        votes = np.bincount(scores.argmax(axis=1), minlength=scores.shape[1])
-        top = votes.max()
-        tied = np.flatnonzero(votes == top)
-        if tied.size > 1:
-            sums = scores[:, tied].sum(axis=0)
-            tied = tied[sums == sums.max()]
-        if int(tied[0]) == int(label):
-            correct += 1
-    return correct / labels.shape[0]
+    if min(lengths) == 0:
+        raise HubnetError("every score matrix needs at least one timestep")
+    scores = np.concatenate(step_scores).astype(float, copy=False)
+    shape = (len(lengths), scores.shape[1])
+    image = np.repeat(np.arange(shape[0]), lengths)
+    votes, sums = np.zeros(shape, dtype=int), np.zeros(shape)
+    np.add.at(votes, (image, scores.argmax(axis=1)), 1)
+    # add.at sums each image's timesteps in order, as a per-image sum does
+    np.add.at(sums, image, scores)
+    # argmax takes the first of equal sums, the lowest class index
+    pred = np.where(votes == votes.max(axis=1, keepdims=True), sums, -np.inf).argmax(axis=1)
+    return float(np.mean(pred == labels))
 
 
 def _time_series_split(spec: TrialSpec):
@@ -194,47 +196,39 @@ def _mnist_blocks(mnist: MnistData, indices: np.ndarray):
         yield mnist_sequences(mnist, indices[start:start + size])
 
 
-def _add_block_sums(gram, sty, col_abs, esn, inputs, onehot, skip: int) -> None:
-    """Add one block's S^T S and S^T Y past its first ``skip`` rows, and its column sums of |S|.
+def _train_blocks(esn, mnist: MnistData, train_idx: np.ndarray, col_abs: np.ndarray):
+    """Harvested (S, Y) row blocks of the training images.
 
-    The block's states are freed on return, so the caller holds one block
-    at a time.
+    Each block's column sums of |S| are added to ``col_abs`` once the fit
+    has summed the block, and the block is dropped before the next
+    harvest.
     """
-    states = harvest(esn, inputs).reshape(-1, esn.n)
-    s = states[skip:]
-    y = np.repeat(onehot, inputs.shape[1], axis=0)[skip:]
-    gram += s.T @ s
-    sty += s.T @ y
-    # |S| overwrites the states, which the products no longer need
-    col_abs += np.abs(states, out=states).sum(axis=0)
+    for inputs, onehot in _mnist_blocks(mnist, train_idx):
+        states = harvest(esn, inputs).reshape(-1, esn.n)
+        yield states, np.repeat(onehot, inputs.shape[1], axis=0)
+        # |S| overwrites the states, which the fit no longer needs
+        col_abs += np.abs(states, out=states).sum(axis=0)
+        del states
 
 
 def _mnist_readout(esn, mnist: MnistData, train_idx: np.ndarray):
     """MNIST readout and column sums of |S|, without holding the state matrix S.
 
     S holds image-major rows: image i's column states, then image i + 1's.
-    S^T S, S^T Y and the column sums of |S| are summed one block of images
-    at a time; the fit drops the first ``washout`` rows wherever they
-    fall.  When ``readout_from_gram`` rejects, or S has fewer rows than
-    columns or a non-finite entry, S is harvested again whole (the same
-    bits) and fit by ``fit_readout``.
+    ``stream_readout`` fits it one block of images at a time; when it
+    needs S whole, all training images are harvested again in one batch,
+    which gives the same bits.
     """
-    n, washout = esn.n, esn.config.washout
-    gram, sty, col_abs = np.zeros((n, n)), np.zeros((n, 10)), np.zeros(n)
-    skip = washout
-    for inputs, onehot in _mnist_blocks(mnist, train_idx):
-        _add_block_sums(gram, sty, col_abs, esn, inputs, onehot, skip)
-        skip = max(skip - inputs.shape[0] * inputs.shape[1], 0)
-    rows = len(train_idx) * mnist.images.shape[2] - washout
-    # a non-finite state makes its diagonal entry of S^T S non-finite
-    if n <= rows and np.isfinite(gram).all():
-        w_out = readout_from_gram(gram, sty)
-        if w_out is not None:
-            return w_out, col_abs
-    train_in, train_onehot = mnist_sequences(mnist, train_idx)
-    states = harvest(esn, train_in).reshape(-1, n)
-    targets = np.repeat(train_onehot, train_in.shape[1], axis=0)
-    return fit_readout(states, targets, washout=washout), col_abs
+    col_abs = np.zeros(esn.n)
+
+    def whole():
+        train_in, onehot = mnist_sequences(mnist, train_idx)
+        states = harvest(esn, train_in).reshape(-1, esn.n)
+        return states, np.repeat(onehot, train_in.shape[1], axis=0)
+
+    w_out = stream_readout(_train_blocks(esn, mnist, train_idx, col_abs), whole,
+                           (esn.n, 10), esn.config.washout)
+    return w_out, col_abs
 
 
 def readout_analysis(spec: TrialSpec, overrides: dict | None = None,
@@ -274,8 +268,8 @@ def readout_analysis(spec: TrialSpec, overrides: dict | None = None,
 
         esn = init_esn(cfg)
         w_out, col_abs = _mnist_readout(esn, mnist, train_idx)
-        step_scores = [scores for inputs, _ in _mnist_blocks(mnist, test_idx)
-                       for scores in harvest(esn, inputs) @ w_out]
+        step_scores = np.concatenate([harvest(esn, inputs) @ w_out
+                                      for inputs, _ in _mnist_blocks(mnist, test_idx)])
         score = majority_vote_accuracy(step_scores, mnist.labels[test_idx])
     else:
         train_in, train_tg, test_in, test_tg = _time_series_split(spec)

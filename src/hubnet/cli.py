@@ -61,9 +61,15 @@ POSITIVE_FLOAT = _finite_float(lambda v: v > 0.0, "> 0")
 NONNEGATIVE_FLOAT = _finite_float(lambda v: v >= 0.0, ">= 0")
 
 
-def _default_seed() -> int:
+def _seed_from_env() -> int:
+    """The seed when ``--seed`` is absent: ``HUBNET_SEED``, else 0."""
     env = os.environ.get("HUBNET_SEED")
-    return int(env) if env else 0
+    if not env:
+        return 0
+    try:
+        return int(env)
+    except ValueError:
+        raise UsageError(f"HUBNET_SEED must be an integer, got {env!r}") from None
 
 
 def _add_topology_flags(p: argparse.ArgumentParser):
@@ -252,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="generate a network and write it as JSON")
     _add_topology_flags(p_gen)
     p_gen.add_argument("--mode", choices=["hub", "random"], default="hub")
-    p_gen.add_argument("--seed", type=int, default=_default_seed())
+    p_gen.add_argument("--seed", type=int)
     p_gen.add_argument("--out", required=True, help="output network JSON path")
     p_gen.set_defaults(func=cmd_gen)
 
@@ -279,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="initial states discarded before fitting (default 0)")
         p.add_argument("--n-train", type=POSITIVE_INT, required=True)
         p.add_argument("--n-test", type=POSITIVE_INT, default=2000)
-        p.add_argument("--seed", type=int, default=_default_seed())
+        p.add_argument("--seed", type=int)
         p.add_argument("--mnist-images", help="IDX image file (.gz ok)")
         p.add_argument("--mnist-labels", help="IDX label file (.gz ok)")
 
@@ -314,10 +320,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # metrics and plot take no --seed
+        if "seed" in vars(args) and args.seed is None:
+            args.seed = _seed_from_env()
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return 1
     # HubnetError and json.JSONDecodeError are both ValueErrors
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

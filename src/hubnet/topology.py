@@ -9,6 +9,7 @@ regularizer that interpolates back towards a uniformly pruned network.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -58,6 +59,12 @@ class TopologyConfig:
     def __post_init__(self):
         if self.n < 0:
             raise HubnetError(f"n must be nonnegative, got {self.n}")
+        for name in ("density", "alpha", "beta", "lambda_dc", "lambda_nc",
+                     "lambda_reg", "weight_sigma2"):
+            # a NaN passes the "< 0" checks below, and NaN or infinite
+            # deletion masses turn hub pruning silently uniform
+            if not math.isfinite(getattr(self, name)):
+                raise HubnetError(f"{name} must be finite, got {getattr(self, name)}")
         if not (0.0 < self.density <= 1.0):
             raise HubnetError(f"density must be in (0, 1], got {self.density}")
         if self.mode not in ("hub", "random"):

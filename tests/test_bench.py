@@ -73,6 +73,34 @@ def test_majority_vote_accuracy():
     assert acc == 0.5
     with pytest.raises(HubnetError, match="one score matrix per label"):
         majority_vote_accuracy([], np.array([]))
+    with pytest.raises(HubnetError, match="at least one timestep"):
+        majority_vote_accuracy([s1, s2[:0]], np.array([1, 0]))
+
+
+def loop_majority_vote(step_scores, labels):
+    """The per-image loop that ``majority_vote_accuracy`` vectorizes."""
+    correct = 0
+    for scores, label in zip(step_scores, labels):
+        votes = np.bincount(scores.argmax(axis=1), minlength=scores.shape[1])
+        tied = np.flatnonzero(votes == votes.max())
+        sums = scores[:, tied].sum(axis=0)
+        correct += int(tied[sums == sums.max()][0] == label)
+    return correct / len(labels)
+
+
+def test_majority_vote_accuracy_matches_per_image_loop():
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        k, steps, classes = rng.integers(1, 8), rng.integers(1, 30), rng.integers(2, 11)
+        # quarter-integer scores make many vote and sum ties, and sum exactly
+        # in any order, so the two tie-breaks see the same sums
+        scores = rng.integers(-2, 3, size=(k, steps, classes)) * 0.25
+        labels = rng.integers(0, classes, size=k)
+        for c in range(classes):
+            expected = loop_majority_vote(scores, np.full(k, c))
+            assert majority_vote_accuracy(scores, np.full(k, c)) == expected
+        ragged = [s[:rng.integers(1, steps + 1)] for s in scores]
+        assert majority_vote_accuracy(ragged, labels) == loop_majority_vote(ragged, labels)
 
 
 def test_run_trial_is_deterministic():
@@ -214,9 +242,8 @@ def test_mnist_trial_fits_through_normal_equations(write_idx, monkeypatch):
 
 
 def reject_gram_solves(monkeypatch):
-    """Make every Gram gate reject, the streamed one and fit_readout's."""
-    for module in (bench, reservoir):
-        monkeypatch.setattr(module, "readout_from_gram", lambda gram, sty: None)
+    """Make the one Gram gate reject, so every fit runs lstsq."""
+    monkeypatch.setattr(reservoir, "_gram_solve", lambda gram, sty: None)
 
 
 def synthetic_mnist(count, seed=0):
@@ -271,6 +298,22 @@ def test_streamed_mnist_readout_rejects_non_finite_states(monkeypatch):
     s = spec("hubesn", task="mnist", n=30, n_train=20, n_test=5)
     with pytest.raises(HubnetError, match="readout states and targets must be finite"):
         readout_analysis(s, mnist=synthetic_mnist(25))
+
+
+def test_rejected_mnist_gate_runs_once(monkeypatch):
+    # 60 copies of one image: S has 28 distinct rows, so S^T S is singular
+    data = MnistData(images=np.repeat(synthetic_mnist(1).images, 60, axis=0),
+                     labels=np.zeros(60, dtype=int))
+    calls = []
+    gram_solve = reservoir._gram_solve
+
+    def counting(gram, sty):
+        calls.append(gram_solve(gram, sty))
+        return calls[-1]
+
+    monkeypatch.setattr(reservoir, "_gram_solve", counting)
+    readout_analysis(spec("hubesn", task="mnist", n=50, n_train=50, n_test=10), mnist=data)
+    assert len(calls) == 1 and calls[0] is None
 
 
 def test_mnist_trial_never_holds_its_train_state_matrix():

@@ -47,7 +47,7 @@ def test_gen_is_seed_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_hubnet_seed_env_override(tmp_path, monkeypatch):
+def test_hubnet_seed_env_override(tmp_path, monkeypatch, capsys):
     a, b, c = (tmp_path / f"{k}.json" for k in "abc")
     monkeypatch.setenv("HUBNET_SEED", "123")
     run(["gen", "--n", "40", "--out", str(a)])
@@ -61,6 +61,25 @@ def test_hubnet_seed_env_override(tmp_path, monkeypatch):
     d = tmp_path / "d.json"
     run(["gen", "--n", "40", "--seed", "123", "--out", str(d)])
     assert d.read_bytes() == a.read_bytes()
+    # a malformed variable is read only when --seed is absent
+    monkeypatch.setenv("HUBNET_SEED", "abc")
+    e = tmp_path / "e.json"
+    assert run(["gen", "--n", "40", "--seed", "123", "--out", str(e)]) == 0
+    assert e.read_bytes() == a.read_bytes()
+    capsys.readouterr()
+    assert run(["gen", "--n", "40", "--out", str(e)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: HUBNET_SEED must be an integer, got 'abc'\n"
+
+
+def test_out_of_memory_exits_1(tmp_path, monkeypatch, capsys):
+    def exhausted(cfg, rng=None):
+        raise MemoryError("Unable to allocate 728. TiB for an array")
+
+    monkeypatch.setattr("hubnet.topology.generate_network", exhausted)
+    assert run(["gen", "--n", "10000000", "--out", str(tmp_path / "x.json")]) == 1
+    assert capsys.readouterr().err == (
+        "error: out of memory: Unable to allocate 728. TiB for an array\n")
 
 
 def test_missing_input_file_exits_1(tmp_path, capsys):

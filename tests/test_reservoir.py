@@ -13,6 +13,7 @@ from hubnet.reservoir import (
     pearson,
     scale_spectral_radius,
     spectral_radius,
+    stream_readout,
 )
 from hubnet.topology import TopologyConfig
 
@@ -35,6 +36,20 @@ def test_config_validation():
     # init_esn never reads topology.seed, so it may not disagree with seed
     with pytest.raises(HubnetError, match="topology.seed 5 must equal the ESN seed 1"):
         EsnConfig(n=20, seed=1, topology=TopologyConfig(n=20, seed=5))
+
+
+TOPOLOGY_FLOATS = ("density", "alpha", "beta", "lambda_dc", "lambda_nc",
+                   "lambda_reg", "weight_sigma2")
+
+
+# a NaN passes the "< 0" range checks, and NaN or infinite lambdas or
+# exponents used to prune a hub network uniformly under a "hub" config
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("config, field", [(TopologyConfig, f) for f in TOPOLOGY_FLOATS]
+                         + [(EsnConfig, "spec_rad"), (EsnConfig, "r_sig")])
+def test_configs_reject_non_finite_floats(config, field, value):
+    with pytest.raises(HubnetError, match=field):
+        config(n=50, **{field: value})
 
 
 def test_default_topology_matches_size_and_seed():
@@ -221,6 +236,59 @@ def test_fit_readout_on_mackey_glass_states_is_exactly_lstsq():
     states = harvest(bench.readout_analysis(spec)["esn"], train_in)
     assert train_tg.shape == (400, 1)
     assert np.array_equal(fit_readout(states, train_tg), lstsq_readout(states, train_tg))
+
+
+def row_blocks(s, y, edges):
+    return [(s[a:b], y[a:b]) for a, b in zip(edges[:-1], edges[1:])]
+
+
+def counting_whole(s, y):
+    calls = []
+
+    def whole():
+        calls.append(1)
+        return s, y
+    return whole, calls
+
+
+def test_stream_readout_across_blocks_matches_one_block_fit():
+    rng = np.random.default_rng(17)
+    s = rng.normal(size=(300, 20))
+    y = rng.normal(size=(300, 3))
+    whole, calls = counting_whole(s, y)
+    # washout 130 ends inside the second block
+    w = stream_readout(iter(row_blocks(s, y, [0, 100, 180, 300])), whole, (20, 3), washout=130)
+    expected = fit_readout(s, y, washout=130)
+    assert np.max(np.abs(w - expected)) <= 1e-9 * np.max(np.abs(expected))
+    assert calls == []  # the gate accepted, so S was never needed whole
+
+
+@pytest.mark.parametrize("kind", ["graded", "underdetermined"])
+def test_stream_readout_fetches_whole_states_once_for_lstsq(kind):
+    if kind == "graded":
+        s = ill_conditioned_states()["graded"]
+    else:
+        s = np.random.default_rng(18).normal(size=(40, 50))  # fewer rows than columns
+    y = np.random.default_rng(19).normal(size=(s.shape[0], 2))
+    whole, calls = counting_whole(s, y)
+    w = stream_readout(row_blocks(s, y, [0, 15, 25, s.shape[0]]), whole, (s.shape[1], 2),
+                       washout=20)
+    assert calls == [1]
+    assert np.array_equal(w, lstsq_readout(s[20:], y[20:]))
+
+
+def test_stream_readout_errors():
+    s, y = np.ones((10, 3)), np.ones((10, 1))
+    with pytest.raises(HubnetError, match="4 state rows vs 5 target rows"):
+        stream_readout([(s[:4], y[:5])], None, (3, 1))
+    with pytest.raises(HubnetError, match="washout leaves no rows to fit"):
+        stream_readout(row_blocks(s, y, [0, 4, 10]), None, (3, 1), washout=10)
+    y[7] = np.inf
+    with pytest.raises(HubnetError, match="must be finite"):
+        stream_readout(row_blocks(s, y, [0, 4, 10]), None, (3, 1), washout=2)
+    # a non-finite target is caught even when S has no columns
+    with pytest.raises(HubnetError, match="must be finite"):
+        fit_readout(s[:, :0], y)
 
 
 def test_fit_readout_minimum_norm_interpolates_when_underdetermined():
