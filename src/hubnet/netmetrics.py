@@ -30,7 +30,12 @@ __all__ = [
 
 
 def _as_weights(net) -> np.ndarray:
-    return net.weights if isinstance(net, Network) else np.asarray(net, dtype=float)
+    w = net.weights if isinstance(net, Network) else np.asarray(net, dtype=float)
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise HubnetError(f"weight matrix must be square and 2-D, got shape {w.shape}")
+    if not np.isfinite(w).all():
+        raise HubnetError("weight matrix must be finite")
+    return w
 
 
 def _sym_abs(w: np.ndarray) -> np.ndarray:
@@ -124,27 +129,26 @@ def _louvain_one_level(a: np.ndarray) -> np.ndarray:
     k = a.sum(axis=1)
     sigma_tot = k.copy()
 
-    neighbors = [np.flatnonzero(a[i]) for i in range(n)]
+    # link weights to other nodes only: the self-loop is not a neighbor
+    off = a - np.diag(a.diagonal())
+    neighbors = [np.flatnonzero(row) for row in off]
+    weights = [row[j] for row, j in zip(off, neighbors)]
     improved = True
     while improved:
         improved = False
         for i in range(n):
             ci = comm[i]
             ki = k[i]
-            # link weight from i to each neighboring community (self-loop excluded)
-            w_to = {}
-            for j in neighbors[i]:
-                if j == i:
-                    continue
-                w_to[comm[j]] = w_to.get(comm[j], 0.0) + a[i, j]
+            # bincount sums in ascending neighbor order, as a running sum would
+            w_to = np.bincount(comm[neighbors[i]], weights=weights[i], minlength=n)
             sigma_tot[ci] -= ki
-            base = w_to.get(ci, 0.0) - ki * sigma_tot[ci] / two_m
+            base = w_to[ci] - ki * sigma_tot[ci] / two_m
+            gain = (w_to - ki * sigma_tot / two_m) - base
             best_c, best_gain = ci, 0.0
             # ascending community ids: the first maximum wins a tie
-            for c in sorted(w_to):
-                gain = (w_to[c] - ki * sigma_tot[c] / two_m) - base
-                if gain > best_gain + 1e-12:
-                    best_c, best_gain = c, gain
+            for c in np.flatnonzero((w_to > 0.0) & (gain > 1e-12)):
+                if gain[c] > best_gain + 1e-12:
+                    best_c, best_gain = c, gain[c]
             comm[i] = best_c
             sigma_tot[best_c] += ki
             if best_c != ci:
@@ -154,13 +158,8 @@ def _louvain_one_level(a: np.ndarray) -> np.ndarray:
 
 def _relabel_contiguous(labels: np.ndarray) -> np.ndarray:
     """Renumber labels to 0..k-1 in order of first appearance."""
-    out = np.empty_like(labels)
-    mapping = {}
-    for i, lab in enumerate(labels):
-        if lab not in mapping:
-            mapping[lab] = len(mapping)
-        out[i] = mapping[lab]
-    return out
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]
 
 
 def clustering_coefficient(net) -> float:

@@ -225,6 +225,9 @@ def stream_readout(blocks, whole, shape: tuple[int, int], washout: int = 0) -> n
     gram, sty = np.zeros((n, n)), np.zeros((n, k))
     rows = 0
     for s, y in blocks:
+        if s.shape[1:] != (n,) or y.shape[1:] != (k,):
+            raise HubnetError(f"block shapes {s.shape} and {y.shape} do not match "
+                              f"{n} state and {k} target columns")
         if s.shape[0] != y.shape[0]:
             raise HubnetError(f"{s.shape[0]} state rows vs {y.shape[0]} target rows")
         skip = max(washout - rows, 0)
@@ -260,6 +263,9 @@ def fit_readout(states: np.ndarray, targets: np.ndarray, washout: int = 0) -> np
     """
     states = np.asarray(states, dtype=float)
     targets = np.asarray(targets, dtype=float)
+    if states.ndim != 2 or targets.ndim not in (1, 2):
+        raise HubnetError(f"states must be 2-D and targets 1-D or 2-D, "
+                          f"got {states.ndim}-D and {targets.ndim}-D")
     squeeze = targets.ndim == 1
     if squeeze:
         targets = targets[:, None]

@@ -229,10 +229,11 @@ def generate_network(cfg: TopologyConfig, rng: np.random.Generator | None = None
         return Network(weights=np.zeros((n, n)), coords=coords, config=cfg)
 
     if cfg.mode == "hub":
-        c_d = distance_constraint(coords)
-        c_n = neurogenetic_constraint(n)
-        r = rng.normal(0.0, np.sqrt(cfg.weight_sigma2), size=(n, n))
-        p = prune_probabilities(c_d, c_n, r, cfg)
+        # no names hold the constraints or the draw, so they are freed
+        # before prune runs
+        p = prune_probabilities(distance_constraint(coords), neurogenetic_constraint(n),
+                                rng.normal(0.0, np.sqrt(cfg.weight_sigma2), size=(n, n)),
+                                cfg)
     else:
         p = np.full((n, n), 1.0)
         np.fill_diagonal(p, 0.0)

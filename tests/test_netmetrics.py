@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from hubnet import netmetrics
 from hubnet.errors import HubnetError
 from hubnet.netmetrics import (
     clustering_coefficient,
@@ -106,10 +107,142 @@ def test_louvain_is_deterministic_and_contiguous():
     assert set(a) == set(range(a.max() + 1))
 
 
+def dict_loop_one_level(a):
+    """Reference local-moving phase: per-node dicts of link weights, scanned
+    in sorted community order."""
+    n = a.shape[0]
+    two_m = a.sum()
+    if two_m <= 0.0:
+        return np.arange(n)
+    comm = np.arange(n)
+    k = a.sum(axis=1)
+    sigma_tot = k.copy()
+    neighbors = [np.flatnonzero(a[i]) for i in range(n)]
+    improved = True
+    while improved:
+        improved = False
+        for i in range(n):
+            ci = comm[i]
+            ki = k[i]
+            w_to = {}
+            for j in neighbors[i]:
+                if j == i:
+                    continue
+                w_to[comm[j]] = w_to.get(comm[j], 0.0) + a[i, j]
+            sigma_tot[ci] -= ki
+            base = w_to.get(ci, 0.0) - ki * sigma_tot[ci] / two_m
+            best_c, best_gain = ci, 0.0
+            for c in sorted(w_to):
+                gain = (w_to[c] - ki * sigma_tot[c] / two_m) - base
+                if gain > best_gain + 1e-12:
+                    best_c, best_gain = c, gain
+            comm[i] = best_c
+            sigma_tot[best_c] += ki
+            if best_c != ci:
+                improved = True
+    return dict_loop_relabel(comm)
+
+
+def dict_loop_relabel(labels):
+    """Reference relabel: 0..k-1 in order of first appearance."""
+    out = np.empty_like(labels)
+    mapping = {}
+    for i, lab in enumerate(labels):
+        if lab not in mapping:
+            mapping[lab] = len(mapping)
+        out[i] = mapping[lab]
+    return out
+
+
+def oracle_partition(monkeypatch, w):
+    """louvain_partition with the reference phase and relabel; the levels
+    it ran, counting the last one that moves nothing."""
+    levels = []
+
+    def one_level(a):
+        levels.append(a.shape[0])
+        return dict_loop_one_level(a)
+
+    with monkeypatch.context() as m:
+        m.setattr(netmetrics, "_louvain_one_level", one_level)
+        m.setattr(netmetrics, "_relabel_contiguous", dict_loop_relabel)
+        return louvain_partition(w), levels
+
+
+def ring_of_cliques(n_cliques, size, rng):
+    """Cliques joined in a ring by one edge each, with random weights."""
+    n = n_cliques * size
+    a = np.zeros((n, n))
+    for c in range(n_cliques):
+        block = slice(c * size, (c + 1) * size)
+        a[block, block] = rng.uniform(0.5, 1.5, size=(size, size))
+        a[c * size, ((c + 1) % n_cliques) * size + 1] = rng.uniform(0.1, 0.3)
+    return a
+
+
+@pytest.mark.parametrize("mode", ["hub", "random"])
+def test_louvain_matches_dict_loop_oracle_on_generated_networks(monkeypatch, mode):
+    net = generate_network(TopologyConfig(n=200, density=0.2, mode=mode, seed=5))
+    expected, _ = oracle_partition(monkeypatch, net)
+    found = louvain_partition(net)
+    assert found.dtype == expected.dtype
+    assert np.array_equal(found, expected)
+
+
+def test_louvain_matches_dict_loop_oracle_over_several_levels(monkeypatch):
+    a = ring_of_cliques(40, 3, np.random.default_rng(0))
+    expected, levels = oracle_partition(monkeypatch, a)
+    # two levels that merge, then one that moves nothing
+    assert len(levels) >= 3
+    assert np.array_equal(louvain_partition(a), expected)
+
+
+def test_louvain_matches_dict_loop_oracle_on_exact_ties(monkeypatch):
+    # unit weights: every move's gain is a ratio of small integers, so
+    # moves to two singleton neighbors gain exactly the same
+    a = np.zeros((12, 12))
+    for i in range(12):
+        a[i, (i + 1) % 12] = a[i, (i + 3) % 12] = 1.0
+    expected, _ = oracle_partition(monkeypatch, a)
+    found = louvain_partition(a)
+    assert np.array_equal(found, expected)
+    # node 0 sits between the singletons 1, 3, 9 and 11 and joins the
+    # lowest of them
+    assert found[0] == found[1]
+
+
+def test_louvain_matches_dict_loop_oracle_within_the_tie_margin(monkeypatch):
+    # node 4 links to pair {0, 1} by 0.3 and to pair {2, 3} by 0.1 + 0.2,
+    # which rounds up: the second gain is larger by about 1e-16, inside
+    # the 1e-12 margin, so node 4 stays with the lower community id
+    a = np.zeros((5, 5))
+    a[0, 1] = a[2, 3] = 1.0
+    a[4, 0], a[4, 2], a[4, 3] = 0.3, 0.1, 0.2
+    expected, _ = oracle_partition(monkeypatch, a)
+    assert np.array_equal(louvain_partition(a), expected)
+    assert expected.tolist() == [0, 0, 1, 1, 0]
+
+
 def test_louvain_empty_graph():
     assert louvain_partition(np.zeros((0, 0))).shape == (0,)
     # no edges: every node stays in its own community
     assert np.array_equal(louvain_partition(np.zeros((4, 4))), np.arange(4))
+
+
+@pytest.mark.parametrize("measure", [
+    louvain_partition, node_degrees, clustering_coefficient, network_metrics,
+    lambda w: modularity(w, np.zeros(3)),
+], ids=["louvain", "degrees", "clustering", "metrics", "modularity"])
+@pytest.mark.parametrize("w, message", [
+    (np.full((3, 3), np.nan), "must be finite"),
+    (np.diag([1.0, np.inf, 1.0]), "must be finite"),
+    (np.ones((3, 4)), r"must be square and 2-D, got shape \(3, 4\)"),
+    (np.ones(3), r"must be square and 2-D, got shape \(3,\)"),
+    (np.ones((3, 3, 3)), r"must be square and 2-D, got shape \(3, 3, 3\)"),
+], ids=["nan", "inf", "3x4", "1-D", "3-D"])
+def test_measures_reject_non_square_or_non_finite_matrices(measure, w, message):
+    with pytest.raises(HubnetError, match=message):
+        measure(w)
 
 
 def test_clustering_unweighted_triangle_is_one():

@@ -291,6 +291,28 @@ def test_stream_readout_errors():
         fit_readout(s[:, :0], y)
 
 
+@pytest.mark.parametrize("states, targets, message", [
+    (np.zeros(5), np.zeros(5), "states must be 2-D and targets 1-D or 2-D, got 1-D and 1-D"),
+    (np.zeros((5, 3)), np.zeros((5, 2, 2)), "got 2-D and 3-D"),
+    (np.zeros((5, 3, 1)), np.zeros(5), "got 3-D and 1-D"),
+], ids=["1-D states", "3-D targets", "3-D states"])
+def test_fit_readout_rejects_wrong_ranks(states, targets, message):
+    with pytest.raises(HubnetError, match=message):
+        fit_readout(states, targets)
+
+
+@pytest.mark.parametrize("s, y", [
+    (np.ones((4, 2)), np.ones((4, 1))),
+    (np.ones((4, 3)), np.ones((4, 2))),
+    (np.ones(4), np.ones((4, 1))),
+    (np.ones((4, 3)), np.ones(4)),
+], ids=["state columns", "target columns", "1-D states", "1-D targets"])
+def test_stream_readout_rejects_blocks_of_the_wrong_columns(s, y):
+    good = (np.ones((4, 3)), np.ones((4, 1)))
+    with pytest.raises(HubnetError, match="do not match 3 state and 1 target columns"):
+        stream_readout([good, (s, y)], None, (3, 1))
+
+
 def test_fit_readout_minimum_norm_interpolates_when_underdetermined():
     rng = np.random.default_rng(6)
     s = rng.normal(size=(20, 50))  # fewer rows than columns
