@@ -276,9 +276,12 @@ def readout_analysis(spec: TrialSpec, overrides: dict | None = None,
         esn = init_esn(cfg)
         train_states = harvest(esn, train_in)
         w_out = fit_readout(train_states, train_tg, washout=cfg.washout)
-        test_states = harvest(esn, test_in, s0=train_states[-1])
-        score = rmse(test_states @ w_out, test_tg)
-        col_abs = np.abs(train_states).sum(axis=0)
+        # |S| overwrites the train states, which are dropped before the
+        # test states are harvested from the last one
+        s0 = train_states[-1].copy()
+        col_abs = np.abs(train_states, out=train_states).sum(axis=0)
+        del train_states
+        score = rmse(harvest(esn, test_in, s0=s0) @ w_out, test_tg)
 
     w_norm = normalized_readout_weights(w_out, col_abs)
     degrees = node_degrees(esn.network)

@@ -47,9 +47,8 @@ def _sym_abs(w: np.ndarray) -> np.ndarray:
 
 def node_degrees(net) -> np.ndarray:
     """Total degree per node: in-degree + out-degree, diagonal excluded."""
-    w = _as_weights(net).copy()
-    np.fill_diagonal(w, 0.0)
-    nz = w != 0.0
+    nz = _as_weights(net) != 0.0
+    np.fill_diagonal(nz, False)
     return (nz.sum(axis=1) + nz.sum(axis=0)).astype(np.int64)
 
 

@@ -246,6 +246,8 @@ def stream_readout(blocks, whole, shape: tuple[int, int], washout: int = 0) -> n
     w_out = None
     if 0 < n <= rows - washout and np.isfinite(gram).all():
         w_out = _gram_solve(gram, sty)
+    # freed before whole() makes S and lstsq copies it
+    del gram, sty
     if w_out is None:
         s, y = whole()
         s, y = s[washout:], y[washout:]

@@ -216,8 +216,9 @@ def load_mnist(images_path, labels_path) -> MnistData:
         labels = np.frombuffer(_read_exact(fh, label_count, "label payload"), dtype=np.uint8)
     if count != label_count:
         raise HubnetError(f"{count} images vs {label_count} labels")
-    return MnistData(images=images.astype(float) / 255.0,
-                     labels=labels.astype(np.int64))
+    pixels = images.astype(float)
+    pixels /= 255.0
+    return MnistData(images=pixels, labels=labels.astype(np.int64))
 
 
 def mnist_sequences(data: MnistData, indices) -> tuple[np.ndarray, np.ndarray]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -29,6 +30,11 @@ __all__ = [
     "save_network",
     "load_network",
 ]
+
+# traced peak bytes of generate_network per n**2: six n x n float64 arrays,
+# reached while prune_probabilities holds the dense draw, its three
+# constraint arguments, the mass and one scaled term
+GENERATION_BYTES_PER_N2 = 6 * 8
 
 # the top-level keys of a network JSON document; ``n`` repeats ``config.n``
 # for readers of ``hubnet gen`` output and must agree with it on load
@@ -97,8 +103,7 @@ class Network:
 
     @property
     def edge_count(self) -> int:
-        off = ~np.eye(self.n, dtype=bool)
-        return int(np.count_nonzero(self.weights[off]))
+        return int(np.count_nonzero(self.weights) - np.count_nonzero(np.diagonal(self.weights)))
 
 
 def target_edge_count(n: int, density: float) -> int:
@@ -114,9 +119,20 @@ def sample_coordinates(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def distance_constraint(coords: np.ndarray) -> np.ndarray:
-    """Pairwise Euclidean distance matrix of the node coordinates."""
-    diff = coords[:, None, :] - coords[None, :, :]
-    return np.sqrt((diff ** 2).sum(axis=-1))
+    """Pairwise Euclidean distance matrix of the node coordinates.
+
+    The squared differences are added one axis at a time, left to right,
+    as a sum over a length-3 axis adds them, so no (n, n, 3) array exists.
+    """
+    def squared_diff(axis: np.ndarray) -> np.ndarray:
+        diff = np.subtract.outer(axis, axis)
+        diff *= diff
+        return diff
+
+    dist = squared_diff(coords[:, 0])
+    for k in range(1, coords.shape[1]):
+        dist += squared_diff(coords[:, k])
+    return np.sqrt(dist, out=dist)
 
 
 def neurogenetic_constraint(n: int) -> np.ndarray:
@@ -143,24 +159,29 @@ def prune_probabilities(
     """
     n = cfg.n
 
-    def unit_max(term: np.ndarray) -> np.ndarray:
-        term = term.copy()
+    def scaled(term: np.ndarray, lam: float) -> np.ndarray:
+        # term is a new array, so it is scaled in place; integer
+        # arguments give integer terms, made float first
+        term = term.astype(float, copy=False)
         np.fill_diagonal(term, 0.0)
         m = term.max() if term.size else 0.0
-        return term / m if m > 0.0 else term
+        if m > 0.0:
+            term /= m
+        term *= lam
+        return term
 
-    mass = (
-        cfg.lambda_dc * unit_max(c_d ** cfg.alpha)
-        + cfg.lambda_nc * unit_max(c_n ** cfg.beta)
-        + cfg.lambda_reg * unit_max(np.abs(r))
-    )
+    # (lambda_dc A + lambda_nc B) + lambda_reg C, holding one term at a time
+    mass = scaled(c_d ** cfg.alpha, cfg.lambda_dc)
+    mass += scaled(c_n ** cfg.beta, cfg.lambda_nc)
+    mass += scaled(np.abs(r), cfg.lambda_reg)
     total = mass.sum() if n > 0 else 0.0
     if total <= 0.0:
         raise HubnetError(
             "every deletable edge has zero pruning mass; "
             "check n, the lambdas, and the exponents"
         )
-    return mass / total
+    mass /= total
+    return mass
 
 
 def prune(
@@ -186,41 +207,67 @@ def prune(
     if d_remove <= 0:
         return out
 
-    off_diag = np.flatnonzero(~np.eye(n, dtype=bool))
-    masses = p.reshape(-1)[off_diag]
-    keys = rng.exponential(size=total)
+    masses = _off_diagonal(p)
+    keys = rng.exponential(size=total).reshape(masses.shape)
     positive = masses > 0.0
 
-    removed = np.zeros(total, dtype=bool)
-    n_pos = int(positive.sum())
+    removed = np.zeros(masses.shape, dtype=bool)
+    n_pos = int(np.count_nonzero(positive))
     take_weighted = min(d_remove, n_pos)
     if take_weighted > 0:
-        wkeys = np.full(total, np.inf)
-        wkeys[positive] = keys[positive] / masses[positive]
-        cut = np.partition(wkeys, take_weighted - 1)[take_weighted - 1]
-        removed = wkeys < cut
-        ties = np.flatnonzero(wkeys == cut)
-        removed[ties[:take_weighted - int(removed.sum())]] = True
+        # the keys become Exp(1) / p, and inf where p is zero
+        np.divide(keys, masses, out=keys, where=positive)
+        keys[~positive] = np.inf
+        cut = np.partition(keys, take_weighted - 1, axis=None)[take_weighted - 1]
+        removed = keys < cut
+        ties = np.flatnonzero(keys == cut)
+        removed.flat[ties[:take_weighted - int(np.count_nonzero(removed))]] = True
+    del keys, positive
 
     deficit = d_remove - take_weighted
     if deficit > 0:
         survivors = np.flatnonzero(~removed)
         extra = rng.choice(survivors, size=deficit, replace=False)
-        removed[extra] = True
+        removed.flat[extra] = True
 
-    out.flat[off_diag[removed]] = 0.0
+    _off_diagonal(out)[removed] = 0.0
     return out
+
+
+def _off_diagonal(a: np.ndarray) -> np.ndarray:
+    """The off-diagonal entries of a square array as an (n - 1, n) view.
+
+    Row-major, the n entries between diagonal entries i and i + 1 form
+    row i, so the view lists the entries in row-major edge order.
+    """
+    n = a.shape[0]
+    return a.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
+
+
+def _check_memory(n: int) -> None:
+    """Refuse an n whose generation would need more than physical memory."""
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return
+    need = GENERATION_BYTES_PER_N2 * n * n
+    if physical > 0 and need > physical:
+        raise HubnetError(f"n = {n} needs about {need / 2**30:,.1f} GiB to generate, "
+                          f"more than the {physical / 2**30:,.1f} GiB of physical memory")
 
 
 def generate_network(cfg: TopologyConfig, rng: np.random.Generator | None = None) -> Network:
     """Generate a pruned network per the config.
 
     Dense weights are Normal(0, weight_sigma2).  Hub mode prunes with the
-    constraint-derived probabilities; random mode prunes uniformly.
+    constraint-derived probabilities; random mode prunes uniformly.  Before
+    anything is allocated, an n whose ``GENERATION_BYTES_PER_N2 * n**2``
+    bytes exceed physical memory raises ``HubnetError``.
     """
+    n = cfg.n
+    _check_memory(n)
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    n = cfg.n
     coords = sample_coordinates(n, rng)
     dense = rng.normal(0.0, np.sqrt(cfg.weight_sigma2), size=(n, n))
     np.fill_diagonal(dense, 0.0)

@@ -327,3 +327,15 @@ def test_mnist_trial_never_holds_its_train_state_matrix():
     finally:
         tracemalloc.stop()
     assert peak < state_bytes / 2
+
+
+def test_mackey_glass_trial_never_holds_its_train_and_test_states_together():
+    s = spec("esn", n=100, n_train=2000, n_test=20000)
+    train_bytes, test_bytes = s.n_train * s.n * 8, s.n_test * s.n * 8  # 1.6 and 16 MB
+    tracemalloc.start()
+    try:
+        readout_analysis(s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < test_bytes + train_bytes

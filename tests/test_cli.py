@@ -82,6 +82,14 @@ def test_out_of_memory_exits_1(tmp_path, monkeypatch, capsys):
         "error: out of memory: Unable to allocate 728. TiB for an array\n")
 
 
+def test_size_guard_exits_1(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert run(["gen", "--n", "1000000", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: n = 1000000 needs about ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_missing_input_file_exits_1(tmp_path, capsys):
     assert run(["metrics", "--in", str(tmp_path / "nope.json")]) == 1
     assert "error:" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import itertools
+import statistics
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hubnet.netmetrics import (
     node_degrees,
     unconnected_count,
 )
-from hubnet.topology import TopologyConfig, generate_network
+from hubnet.topology import Network, TopologyConfig, generate_network
 
 
 def two_triangles():
@@ -32,6 +33,21 @@ def test_node_degrees_counts_union_of_in_and_out():
     w[1, 0] = -1.0  # edge 0 -> 1 (negative weight still counts)
     w[2, 2] = 5.0   # self-loop ignored
     assert node_degrees(w).tolist() == [2, 2, 0]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_degrees_and_edge_count_match_masked_copy_formulas(seed):
+    rng = np.random.default_rng(seed)
+    n = 50
+    w = generate_network(TopologyConfig(n=n, density=0.3, seed=seed)).weights
+    # a partly nonzero diagonal, which both counts leave out
+    np.fill_diagonal(w, rng.normal(size=n) * (rng.random(n) < 0.5))
+    net = Network(weights=w, coords=np.zeros((n, 3)), config=TopologyConfig(n=n))
+    off = w.copy()
+    np.fill_diagonal(off, 0.0)
+    nz = off != 0.0
+    assert np.array_equal(node_degrees(net), (nz.sum(axis=1) + nz.sum(axis=0)).astype(np.int64))
+    assert net.edge_count == int(np.count_nonzero(w[~np.eye(n, dtype=bool)]))
 
 
 def test_heterogeneity_cv_oracle():
@@ -320,3 +336,18 @@ def test_modularity_and_clustering_match_networkx(mode):
     g = nx.from_numpy_array(np.maximum(pos, pos.T))
     nx_c = np.mean(list(nx.clustering(g, weight="weight").values()))
     assert abs(clustering_coefficient(w) - nx_c) <= 1e-9
+
+
+@pytest.mark.parametrize("mode", ["hub", "random"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_louvain_modularity_is_no_worse_than_networkx(mode, seed):
+    import networkx as nx
+
+    w = generate_network(TopologyConfig(n=500, density=0.2, mode=mode, seed=seed)).weights
+    a = np.abs(w)
+    a = np.maximum(a, a.T)
+    np.fill_diagonal(a, 0.0)
+    g = nx.from_numpy_array(a)
+    nx_q = statistics.median(nx.community.modularity(g, nx.community.louvain_communities(g, seed=s))
+                             for s in range(3))
+    assert modularity(w, louvain_partition(w)) >= nx_q - 0.005

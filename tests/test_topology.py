@@ -1,4 +1,6 @@
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,6 +236,146 @@ def test_prune_with_tied_keys_and_zero_masses_equals_stable_sort_oracle():
     p[:, ::2] = 0.0
     out = prune(dense, p, 0.1, RepeatingExponentials(3))
     assert np.array_equal(out, stable_sort_prune(dense, p, 0.1, RepeatingExponentials(3)))
+
+
+def reference_distance_constraint(coords):
+    """Distances summed over an (n, n, 3) array of coordinate differences."""
+    diff = coords[:, None, :] - coords[None, :, :]
+    return np.sqrt((diff ** 2).sum(axis=-1))
+
+
+def reference_prune_probabilities(c_d, c_n, r, cfg):
+    """Deletion probabilities from scaled copies of each term."""
+    def unit_max(term):
+        term = term.copy()
+        np.fill_diagonal(term, 0.0)
+        m = term.max() if term.size else 0.0
+        return term / m if m > 0.0 else term
+
+    mass = (cfg.lambda_dc * unit_max(c_d ** cfg.alpha)
+            + cfg.lambda_nc * unit_max(c_n ** cfg.beta)
+            + cfg.lambda_reg * unit_max(np.abs(r)))
+    return mass / mass.sum()
+
+
+def reference_prune(dense, p, density, rng):
+    """Pruning through an int64 off-diagonal index and a separate key array."""
+    n = dense.shape[0]
+    out = dense.copy()
+    np.fill_diagonal(out, 0.0)
+    total = n * (n - 1)
+    d_remove = total - target_edge_count(n, density)
+    if d_remove <= 0:
+        return out
+    off_diag = np.flatnonzero(~np.eye(n, dtype=bool))
+    masses = p.reshape(-1)[off_diag]
+    keys = rng.exponential(size=total)
+    positive = masses > 0.0
+    removed = np.zeros(total, dtype=bool)
+    take_weighted = min(d_remove, int(positive.sum()))
+    if take_weighted > 0:
+        wkeys = np.full(total, np.inf)
+        wkeys[positive] = keys[positive] / masses[positive]
+        cut = np.partition(wkeys, take_weighted - 1)[take_weighted - 1]
+        removed = wkeys < cut
+        ties = np.flatnonzero(wkeys == cut)
+        removed[ties[:take_weighted - int(removed.sum())]] = True
+    deficit = d_remove - take_weighted
+    if deficit > 0:
+        survivors = np.flatnonzero(~removed)
+        removed[rng.choice(survivors, size=deficit, replace=False)] = True
+    out.flat[off_diag[removed]] = 0.0
+    return out
+
+
+def reference_network(cfg):
+    """generate_network's draws, put through the reference formulas."""
+    rng = np.random.default_rng(cfg.seed)
+    n = cfg.n
+    coords = sample_coordinates(n, rng)
+    dense = rng.normal(0.0, np.sqrt(cfg.weight_sigma2), size=(n, n))
+    np.fill_diagonal(dense, 0.0)
+    if n <= 1:
+        return np.zeros((n, n)), coords
+    if cfg.mode == "hub":
+        p = reference_prune_probabilities(
+            reference_distance_constraint(coords), neurogenetic_constraint(n),
+            rng.normal(0.0, np.sqrt(cfg.weight_sigma2), size=(n, n)), cfg)
+    else:
+        p = 1.0 - np.eye(n)
+        p /= p.sum()
+    return reference_prune(dense, p, cfg.density, rng), coords
+
+
+@pytest.mark.parametrize("mode", ["hub", "random"])
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 60, 500])
+@pytest.mark.parametrize("extra", [{}, {"density": 1.0}, {"lambda_reg": 0.3}])
+def test_generation_equals_reference_formulas(mode, n, extra):
+    for seed in (0, 1):
+        cfg = TopologyConfig(n=n, mode=mode, seed=seed, **extra)
+        net = generate_network(cfg)
+        weights, coords = reference_network(cfg)
+        assert np.array_equal(net.weights, weights)
+        assert np.array_equal(net.coords, coords)
+
+
+def test_distance_constraint_equals_reference_at_every_scale():
+    rng = np.random.default_rng(4)
+    for scale in (1e-3, 1.0, 1e8):
+        coords = scale * rng.standard_normal((300, 3))
+        assert np.array_equal(distance_constraint(coords),
+                              reference_distance_constraint(coords))
+
+
+@pytest.mark.parametrize("dtype", [float, np.int64])
+def test_prune_probabilities_leave_their_arguments_unwritten(dtype):
+    rng = np.random.default_rng(5)
+    args = [distance_constraint(10 * rng.standard_normal((20, 3))),
+            neurogenetic_constraint(20), 10 * rng.standard_normal((20, 20))]
+    args = [a.astype(dtype) for a in args]
+    copies = [a.copy() for a in args]
+    cfg = TopologyConfig(n=20, lambda_reg=0.5)
+    assert np.array_equal(prune_probabilities(*args, cfg),
+                          reference_prune_probabilities(*copies, cfg))
+    for a, copy in zip(args, copies):
+        assert np.array_equal(a, copy)
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+@pytest.mark.parametrize("mode", ["hub", "random"])
+def test_generation_peak_is_six_n_squared_floats(mode):
+    generate_network(TopologyConfig(n=10, mode=mode))  # first-call allocations
+    n = 1000
+    peak = traced_peak(lambda: generate_network(TopologyConfig(n=n, mode=mode, seed=1)))
+    # six n x n float64 arrays in hub mode; the n x 3 coordinates and the
+    # bookkeeping add under 0.01 n**2
+    assert peak <= 6.01 * 8 * n * n
+    assert topology.GENERATION_BYTES_PER_N2 == 6 * 8
+
+
+def test_size_guard_raises_before_allocating():
+    def call():
+        with pytest.raises(HubnetError, match="physical memory"):
+            generate_network(TopologyConfig(n=1_000_000))
+
+    assert traced_peak(call) < 1_000_000
+
+
+def test_size_guard_is_a_no_op_without_sysconf(monkeypatch):
+    def unavailable(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    monkeypatch.setattr(os, "sysconf", unavailable)
+    assert generate_network(TopologyConfig(n=30, seed=2)).edge_count == target_edge_count(30, 0.2)
 
 
 def test_hub_mode_concentrates_degree_on_low_indices():
