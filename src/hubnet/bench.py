@@ -11,17 +11,17 @@ from __future__ import annotations
 
 import csv
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HubnetError
+from .errors import HubnetError, check_memory
 from .netmetrics import node_degrees
 from .reservoir import (
     EsnConfig,
     fit_readout,
     harvest,
+    harvest_chunks,
     init_esn,
     normalized_readout_weights,
     pearson,
@@ -66,6 +66,12 @@ _MASK64 = (1 << 64) - 1
 # make more, smaller matrix products (50-image blocks measured about 6%
 # slower per n = 500 trial at one BLAS thread)
 STATE_BLOCK_ROWS = 4096
+# state rows of one chunk of a block: max(1, 600 // 147) = 4 steps, a
+# 2.35 MB buffer at n = 500 in place of the block's 16.5 MB.  On the
+# mnist-synth workload (2-vCPU VM, one BLAS thread) it took the median
+# peak RSS of 10 runs from 77.0 to 65.7 MB; single runs at 1,200 and 300
+# rows peaked at 68.3 and 65.7 MB
+CHUNK_ROWS = 600
 
 
 def _splitmix64(x: int) -> int:
@@ -189,46 +195,78 @@ def _time_series_split(spec: TrialSpec):
             ds.targets[spec.n_train: spec.n_train + spec.n_test])
 
 
-def _mnist_blocks(mnist: MnistData, indices: np.ndarray):
-    """``mnist_sequences`` of ``indices``, a block of images at a time."""
-    size = -(-STATE_BLOCK_ROWS // mnist.images.shape[2])
-    for start in range(0, len(indices), size):
-        yield mnist_sequences(mnist, indices[start:start + size])
+def _mnist_chunks(esn, mnist: MnistData, indices: np.ndarray):
+    """States of the images ``indices`` names, in time-major chunks.
 
-
-def _train_blocks(esn, mnist: MnistData, train_idx: np.ndarray, col_abs: np.ndarray):
-    """Harvested (S, Y) row blocks of the training images.
-
-    Each block's column sums of |S| are added to ``col_abs`` once the fit
-    has summed the block, and the block is dropped before the next
-    harvest.
+    The images run through the reservoir a block at a time, in lockstep,
+    and each block's states come in chunks of ``harvest_chunks``'s one
+    reused buffer.  Yields ``(i0, t0, chunk, onehot)``: ``chunk[j, b]`` is
+    the state of block image b, image i0 + b of ``indices``, after column
+    t0 + j, and ``onehot`` holds the block's targets.
     """
-    for inputs, onehot in _mnist_blocks(mnist, train_idx):
-        states = harvest(esn, inputs).reshape(-1, esn.n)
-        yield states, np.repeat(onehot, inputs.shape[1], axis=0)
-        # |S| overwrites the states, which the fit no longer needs
+    size = -(-STATE_BLOCK_ROWS // mnist.images.shape[2])
+    for i0 in range(0, len(indices), size):
+        inputs, onehot = mnist_sequences(mnist, indices[i0:i0 + size])
+        steps = max(1, CHUNK_ROWS // len(inputs))
+        for t0, chunk in harvest_chunks(esn, inputs, steps):
+            yield i0, t0, chunk, onehot
+
+
+def _train_rows(chunks, washout: int, t_len: int, col_abs: np.ndarray):
+    """(S, Y) row blocks for ``stream_readout``, one per chunk.
+
+    Row (t, b) of a chunk is row (i0 + b) * t_len + t of the image-major
+    train matrix S; the rows before ``washout`` there are dropped from the
+    fit but not from ``col_abs``, which each chunk's column sums of |S|
+    are added to once the fit has summed it.
+    """
+    for i0, t0, chunk, onehot in chunks:
+        steps, batch, n = chunk.shape
+        states = chunk.reshape(-1, n)
+        targets = np.tile(onehot, (steps, 1))
+        if i0 * t_len + t0 < washout:
+            rows = (i0 + np.arange(batch)) * t_len + (t0 + np.arange(steps))[:, None]
+            keep = rows.reshape(-1) >= washout
+            yield states[keep], targets[keep]
+        else:
+            yield states, targets
+        # |S| overwrites the chunk, which the fit no longer needs
         col_abs += np.abs(states, out=states).sum(axis=0)
-        del states
 
 
 def _mnist_readout(esn, mnist: MnistData, train_idx: np.ndarray):
     """MNIST readout and column sums of |S|, without holding the state matrix S.
 
     S holds image-major rows: image i's column states, then image i + 1's.
-    ``stream_readout`` fits it one block of images at a time; when it
-    needs S whole, all training images are harvested again in one batch,
-    which gives the same bits.
+    ``stream_readout`` fits it one chunk at a time; when it needs S whole,
+    all training images are harvested again in one batch, which gives the
+    same bits.
     """
     col_abs = np.zeros(esn.n)
+    t_len, washout = mnist.images.shape[2], esn.config.washout
 
     def whole():
+        rows = len(train_idx) * t_len
+        # S and the copy lstsq makes of it
+        check_memory(2 * 8 * rows * esn.n, f"a {rows:,} x {esn.n} state matrix",
+                     "for the lstsq readout")
         train_in, onehot = mnist_sequences(mnist, train_idx)
         states = harvest(esn, train_in).reshape(-1, esn.n)
-        return states, np.repeat(onehot, train_in.shape[1], axis=0)
+        return states[washout:], np.repeat(onehot, t_len, axis=0)[washout:]
 
-    w_out = stream_readout(_train_blocks(esn, mnist, train_idx, col_abs), whole,
-                           (esn.n, 10), esn.config.washout)
+    chunks = _mnist_chunks(esn, mnist, train_idx)
+    w_out = stream_readout(_train_rows(chunks, washout, t_len, col_abs), whole, (esn.n, 10))
     return w_out, col_abs
+
+
+def _mnist_step_scores(esn, mnist: MnistData, test_idx: np.ndarray,
+                       w_out: np.ndarray) -> np.ndarray:
+    """Readout scores of every test image and column, (k, 28, 10)."""
+    step_scores = np.empty((len(test_idx), mnist.images.shape[2], w_out.shape[1]))
+    for i0, t0, chunk, _ in _mnist_chunks(esn, mnist, test_idx):
+        steps, batch, _ = chunk.shape
+        step_scores[i0:i0 + batch, t0:t0 + steps] = (chunk @ w_out).transpose(1, 0, 2)
+    return step_scores
 
 
 def readout_analysis(spec: TrialSpec, overrides: dict | None = None,
@@ -268,8 +306,7 @@ def readout_analysis(spec: TrialSpec, overrides: dict | None = None,
 
         esn = init_esn(cfg)
         w_out, col_abs = _mnist_readout(esn, mnist, train_idx)
-        step_scores = np.concatenate([harvest(esn, inputs) @ w_out
-                                      for inputs, _ in _mnist_blocks(mnist, test_idx)])
+        step_scores = _mnist_step_scores(esn, mnist, test_idx, w_out)
         score = majority_vote_accuracy(step_scores, mnist.labels[test_idx])
     else:
         train_in, train_tg, test_in, test_tg = _time_series_split(spec)
@@ -326,6 +363,10 @@ def run_experiment(grid, repeats: int, base_seed: int, jobs: int = 1,
     runner = lambda s: run_trial(s, overrides=overrides, mnist=mnist)
     if jobs <= 1:
         return [runner(s) for s in specs]
+    # imported here: concurrent.futures imports logging, which only a
+    # parallel run needs
+    from concurrent.futures import ThreadPoolExecutor
+
     # pool.map preserves submission order, so the output ordering is
     # identical to the sequential run regardless of worker count
     with ThreadPoolExecutor(max_workers=jobs) as pool:

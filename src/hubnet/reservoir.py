@@ -25,6 +25,7 @@ __all__ = [
     "scale_spectral_radius",
     "init_esn",
     "harvest",
+    "harvest_chunks",
     "stream_readout",
     "fit_readout",
     "normalized_readout_weights",
@@ -136,15 +137,8 @@ def init_esn(cfg: EsnConfig) -> Esn:
     return Esn(w_in=w_in, w_rec=w_rec, input_mask=mask, network=network, config=cfg)
 
 
-def harvest(esn: Esn, inputs: np.ndarray, s0: np.ndarray | None = None) -> np.ndarray:
-    """Drive the reservoir with input sequences; stack the states.
-
-    ``inputs`` is one sequence, shaped (T,) or (T, d), or a batch of
-    equal-length sequences shaped (B, T, d).  Every sequence starts from
-    ``s0``, or from zeros when it is None.  Entry t along the time axis of
-    the result, (T, n) or (B, T, n), is the state after presenting input
-    row t.
-    """
+def _checked_inputs(esn: Esn, inputs, s0) -> tuple[np.ndarray, np.ndarray, int]:
+    """Inputs as a (B, T, d) batch, the (B, n) start states, and the inputs' ndim."""
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim == 1:
         inputs = inputs[:, None]
@@ -156,8 +150,7 @@ def harvest(esn: Esn, inputs: np.ndarray, s0: np.ndarray | None = None) -> np.nd
         )
     if not np.isfinite(u).all():
         raise HubnetError("reservoir inputs must be finite")
-    batch, t_len, _ = u.shape
-    s = np.zeros((batch, esn.n))
+    s = np.zeros((u.shape[0], esn.n))
     if s0 is not None:
         s0 = np.asarray(s0, dtype=float)
         if s0.shape != (esn.n,):
@@ -165,14 +158,60 @@ def harvest(esn: Esn, inputs: np.ndarray, s0: np.ndarray | None = None) -> np.nd
         if not np.isfinite(s0).all():
             raise HubnetError("initial state s0 must be finite")
         s[:] = s0
+    return u, s, inputs.ndim
+
+
+def _drive(esn: Esn, u: np.ndarray, s: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The recurrence: ``out[t]`` gets the (B, n) states after input u[:, t].
+
+    Starts from ``s`` and returns the last state, a fresh array that
+    shares no memory with ``out``.
+    """
     # the drive is computed per step: up front it would be one more
     # (B, T, n) array, as large as the states themselves
     w_in_t, w_rec_t = esn.w_in.T, esn.w_rec.T
-    states = np.empty((batch, t_len, esn.n))
-    for t in range(t_len):
+    for t in range(len(out)):
         s = np.tanh(u[:, t] @ w_in_t + s @ w_rec_t)
-        states[:, t] = s
-    return states if inputs.ndim == 3 else states[0]
+        out[t] = s
+    return s
+
+
+def harvest(esn: Esn, inputs: np.ndarray, s0: np.ndarray | None = None) -> np.ndarray:
+    """Drive the reservoir with input sequences; stack the states.
+
+    ``inputs`` is one sequence, shaped (T,) or (T, d), or a batch of
+    equal-length sequences shaped (B, T, d).  Every sequence starts from
+    ``s0``, or from zeros when it is None.  Entry t along the time axis of
+    the result, (T, n) or (B, T, n), is the state after presenting input
+    row t.
+    """
+    u, s, ndim = _checked_inputs(esn, inputs, s0)
+    states = np.empty((u.shape[0], u.shape[1], esn.n))
+    _drive(esn, u, s, states.transpose(1, 0, 2))
+    return states if ndim == 3 else states[0]
+
+
+def harvest_chunks(esn: Esn, inputs: np.ndarray, steps: int,
+                   s0: np.ndarray | None = None):
+    """``harvest``, ``steps`` time steps at a time, in one reused buffer.
+
+    Takes the inputs and ``s0`` that ``harvest`` takes and yields
+    ``(t0, chunk)`` pairs: ``chunk[j]`` holds the (B, n) states after input
+    row t0 + j, the same bits as ``harvest(...)[..., t0 + j, :]``, with
+    B = 1 for a single sequence.  Every chunk is a view of one
+    (steps, B, n) buffer, which the next chunk overwrites; the recurrence
+    carries its own copy of the last state, so a consumer may overwrite a
+    chunk in place.
+    """
+    if steps < 1:
+        raise HubnetError(f"steps must be >= 1, got {steps}")
+    u, s, _ = _checked_inputs(esn, inputs, s0)
+    t_len = u.shape[1]
+    buf = np.empty((min(steps, t_len), u.shape[0], esn.n))
+    for t0 in range(0, t_len, steps):
+        chunk = buf[:t_len - t0]
+        s = _drive(esn, u[:, t0:t0 + len(chunk)], s, chunk)
+        yield t0, chunk
 
 
 def _gram_solve(gram: np.ndarray, sty: np.ndarray) -> np.ndarray | None:

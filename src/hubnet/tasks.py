@@ -98,18 +98,28 @@ def mackey_glass(cfg: MackeyGlassConfig) -> tuple[np.ndarray, np.ndarray]:
 
     Update: x(t+1) = x(t) + dt * (beta * x(t-tau) / (1 + x(t-tau)^k)
     - gamma * x(t)), with constant history x0 and the first ``transient``
-    steps discarded.
+    steps discarded.  A series that stops being finite and real (an
+    overflow, a zero denominator, a negative x(t - tau) to a fractional k)
+    raises ``HubnetError``.
     """
     total = cfg.transient + cfg.length
-    # x[tau + t] holds x(t); indices below tau carry the constant history
-    x = np.full(cfg.tau + 1 + total, cfg.x0)
-    for t in range(total):
-        xt = x[cfg.tau + t]
-        xd = x[t]  # x(t - tau)
-        x[cfg.tau + t + 1] = xt + cfg.dt * (
-            cfg.beta_m * xd / (1.0 + xd ** cfg.k) - cfg.gamma_m * xt
-        )
-    raw = x[cfg.tau + 1 + cfg.transient:]
+    # x[tau + t] holds x(t); indices below tau carry the constant history.
+    # A list of Python floats: the same IEEE arithmetic as numpy scalars,
+    # about 3 times faster per step
+    x = [float(cfg.x0)] * (cfg.tau + 1 + total)
+    tau, dt, beta, gamma, k = cfg.tau, cfg.dt, cfg.beta_m, cfg.gamma_m, cfg.k
+    diverged = "the Mackey-Glass series is not finite and real; check the parameters"
+    try:
+        for t in range(total):
+            xt = x[tau + t]
+            xd = x[t]  # x(t - tau)
+            x[tau + t + 1] = xt + dt * (beta * xd / (1.0 + xd ** k) - gamma * xt)
+    except (OverflowError, ZeroDivisionError):
+        raise HubnetError(diverged) from None
+    raw = np.array(x[tau + 1 + cfg.transient:])
+    # a negative x(t - tau) to a fractional power k is complex
+    if raw.dtype.kind != "f" or not np.isfinite(raw).all():
+        raise HubnetError(diverged)
     lo, hi = raw.min(), raw.max()
     if hi > lo:
         scale = (2.0 - 2.0 * NORM_EPS) / (hi - lo)

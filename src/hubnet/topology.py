@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import HubnetError
+from .errors import HubnetError, check_memory
 
 __all__ = [
     "TopologyConfig",
@@ -244,18 +243,6 @@ def _off_diagonal(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
 
 
-def _check_memory(n: int) -> None:
-    """Refuse an n whose generation would need more than physical memory."""
-    try:
-        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, OSError, ValueError):
-        return
-    need = GENERATION_BYTES_PER_N2 * n * n
-    if physical > 0 and need > physical:
-        raise HubnetError(f"n = {n} needs about {need / 2**30:,.1f} GiB to generate, "
-                          f"more than the {physical / 2**30:,.1f} GiB of physical memory")
-
-
 def generate_network(cfg: TopologyConfig, rng: np.random.Generator | None = None) -> Network:
     """Generate a pruned network per the config.
 
@@ -265,7 +252,7 @@ def generate_network(cfg: TopologyConfig, rng: np.random.Generator | None = None
     bytes exceed physical memory raises ``HubnetError``.
     """
     n = cfg.n
-    _check_memory(n)
+    check_memory(GENERATION_BYTES_PER_N2 * n * n, f"n = {n}", "to generate")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     coords = sample_coordinates(n, rng)

@@ -1,4 +1,5 @@
 import csv
+import os
 import tracemalloc
 
 import numpy as np
@@ -327,6 +328,70 @@ def test_mnist_trial_never_holds_its_train_state_matrix():
     finally:
         tracemalloc.stop()
     assert peak < state_bytes / 2
+
+
+def test_mnist_trial_never_holds_one_state_block():
+    data = synthetic_mnist(450)
+    s = spec("hubesn", task="mnist", n=250, n_train=300, n_test=150)
+    readout_analysis(spec("hubesn", task="mnist", n=10, n_train=5, n_test=5),
+                     mnist=data)  # first-call allocations
+    block_bytes = 147 * 28 * s.n * 8  # 8.2 MB, the states of one 147-image block
+    tracemalloc.start()
+    try:
+        readout_analysis(s, mnist=data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 6.1 MB: generation's 6 n**2 floats (3.0 MB), then S^T S, the 4-step
+    # state buffer and a block of column-scanned images
+    assert peak < block_bytes
+
+
+def fake_chunks(count, block, steps, t_len=28):
+    """``bench._mnist_chunks``'s layout, each state holding its row of S."""
+    for i0 in range(0, count, block):
+        batch = min(block, count - i0)
+        onehot = np.zeros((batch, 10))
+        onehot[:, 0] = i0 + np.arange(batch)
+        for t0 in range(0, t_len, steps):
+            k = min(steps, t_len - t0)
+            rows = (i0 + np.arange(batch)) * t_len + (t0 + np.arange(k))[:, None]
+            yield i0, t0, rows[:, :, None].astype(float), onehot
+
+
+@pytest.mark.parametrize("washout", [0, 1, 27, 28, 29, 30, 200, 4116, 4125, 5599, 5600])
+def test_train_rows_drop_the_first_washout_rows_of_image_major_states(washout):
+    # 200 images in blocks of 147 and 53, 4 steps a chunk; row r of S is
+    # image r // 28 after column r % 28
+    col_abs = np.zeros(1)
+    kept, images = [], []
+    for states, targets in bench._train_rows(fake_chunks(200, 147, 4), washout, 28, col_abs):
+        kept.append(states[:, 0])
+        images.append(targets[:, 0])
+    kept, images = np.concatenate(kept), np.concatenate(images)
+    order = np.argsort(kept)
+    assert np.array_equal(kept[order], np.arange(washout, 5600))
+    assert np.array_equal(images[order], np.arange(washout, 5600) // 28)
+    # the column sums cover every row, washout or not
+    assert col_abs[0] == np.arange(5600).sum()
+
+
+def test_lstsq_readout_refuses_states_larger_than_memory(monkeypatch):
+    data = synthetic_mnist(25)
+    s = spec("hubesn", task="mnist", n=30, n_train=20, n_test=5)
+    reject_gram_solves(monkeypatch)
+    pages = {"SC_PAGE_SIZE": 1000, "SC_PHYS_PAGES": 100}  # 100 kB
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+
+    def no_harvest(*args, **kwargs):
+        raise AssertionError("the guard must refuse before the harvest")
+
+    monkeypatch.setattr(bench, "harvest", no_harvest)
+    # generation needs 48 n**2 = 43 kB; S and lstsq's copy 2 * 560 * 30 * 8
+    with pytest.raises(HubnetError, match="a 560 x 30 state matrix needs about .* GiB "
+                                          "for the lstsq readout, more than the .* GiB "
+                                          "of physical memory"):
+        readout_analysis(s, mnist=data)
 
 
 def test_mackey_glass_trial_never_holds_its_train_and_test_states_together():

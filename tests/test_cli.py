@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hubnet
 from hubnet.cli import main
 
 
@@ -88,6 +93,16 @@ def test_size_guard_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: n = 1000000 needs about ") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_cli_import_leaves_the_thread_pool_unimported():
+    # concurrent.futures pulls in logging; only ``bench --jobs N`` needs it
+    code = "import sys, hubnet.cli; print('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(hubnet.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert done.stdout == "False\n"
 
 
 def test_missing_input_file_exits_1(tmp_path, capsys):

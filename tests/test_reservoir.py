@@ -8,6 +8,7 @@ from hubnet.reservoir import (
     EsnConfig,
     fit_readout,
     harvest,
+    harvest_chunks,
     init_esn,
     normalized_readout_weights,
     pearson,
@@ -148,6 +149,60 @@ def test_harvest_batch_equals_separate_sequences(with_s0):
         harvest(esn, u[:, :, :27])
     with pytest.raises(HubnetError, match="inputs have shape"):
         harvest(esn, u[None])
+
+
+def stacked_chunks(esn, inputs, steps, s0=None):
+    """The chunks of ``harvest_chunks``, copied and stacked time-major."""
+    chunks = [(t0, chunk.copy()) for t0, chunk in harvest_chunks(esn, inputs, steps, s0)]
+    assert [t0 for t0, _ in chunks] == list(range(0, len(chunks) * steps, steps))
+    return np.concatenate([chunk for _, chunk in chunks])
+
+
+@pytest.mark.parametrize("batch", [1, 3, 147])
+@pytest.mark.parametrize("t_len", [1, 28, 30])
+def test_harvest_chunks_equal_harvest(batch, t_len):
+    esn = init_esn(EsnConfig(n=20, input_dim=28, seed=4))
+    rng = np.random.default_rng(batch * 100 + t_len)
+    u = rng.uniform(0.0, 1.0, size=(batch, t_len, 28))
+    s0 = rng.uniform(-0.5, 0.5, size=esn.n)
+    for given in (None, s0):
+        whole = harvest(esn, u, s0=given)
+        # 4 and 7 leave a shorter last chunk of 28 or 30 steps; 40 is one chunk
+        for steps in (1, 4, 7, 40):
+            chunks = stacked_chunks(esn, u, steps, given)
+            assert np.array_equal(chunks.transpose(1, 0, 2), whole)
+
+
+def test_harvest_chunks_of_one_sequence_and_their_checks():
+    esn = small_esn()
+    u = np.random.default_rng(5).normal(size=(11, 1))
+    assert np.array_equal(stacked_chunks(esn, u, 3)[:, 0], harvest(esn, u))
+    assert np.array_equal(stacked_chunks(esn, u[:, 0], 5)[:, 0], harvest(esn, u))
+    assert list(harvest_chunks(esn, u[:0], 3)) == []
+    with pytest.raises(HubnetError, match="steps must be >= 1"):
+        next(harvest_chunks(esn, u, 0))
+    # the checks are harvest's
+    with pytest.raises(HubnetError, match="inputs have shape"):
+        next(harvest_chunks(esn, np.ones((5, 3)), 2))
+    with pytest.raises(HubnetError, match="reservoir inputs must be finite"):
+        next(harvest_chunks(esn, np.full((5, 1), np.nan), 2))
+    with pytest.raises(HubnetError, match="s0 has shape"):
+        next(harvest_chunks(esn, u, 2, s0=np.zeros(esn.n + 1)))
+    with pytest.raises(HubnetError, match="initial state s0 must be finite"):
+        next(harvest_chunks(esn, u, 2, s0=np.full(esn.n, np.inf)))
+
+
+def test_harvest_chunks_survive_a_consumer_that_overwrites_them():
+    esn = init_esn(EsnConfig(n=30, input_dim=28, seed=6))
+    u = np.random.default_rng(6).uniform(size=(9, 30, 28))
+    whole = harvest(esn, u)
+    buffers = set()
+    for t0, chunk in harvest_chunks(esn, u, 4):
+        assert np.array_equal(chunk, whole[:, t0:t0 + len(chunk)].transpose(1, 0, 2))
+        buffers.add(chunk.__array_interface__["data"][0])
+        chunk[:] = 0.0
+    # every chunk is a view of the same buffer
+    assert len(buffers) == 1
 
 
 def test_harvest_and_fit_readout_reject_non_finite():

@@ -37,6 +37,48 @@ def test_mackey_glass_unit_fixed_point():
     assert np.max(np.abs(raw - 1.0)) < 1e-12
 
 
+def numpy_mackey_glass(cfg):
+    """The Euler loop on a numpy array that ``mackey_glass`` runs on floats."""
+    total = cfg.transient + cfg.length
+    x = np.full(cfg.tau + 1 + total, cfg.x0)
+    for t in range(total):
+        xt = x[cfg.tau + t]
+        xd = x[t]
+        x[cfg.tau + t + 1] = xt + cfg.dt * (
+            cfg.beta_m * xd / (1.0 + xd ** cfg.k) - cfg.gamma_m * xt
+        )
+    raw = x[cfg.tau + 1 + cfg.transient:]
+    lo, hi = raw.min(), raw.max()
+    scale = (2.0 - 2.0 * 1e-6) / (hi - lo)
+    return raw, -1.0 + 1e-6 + (raw - lo) * scale
+
+
+@pytest.mark.parametrize("cfg", [
+    MackeyGlassConfig(length=3201),
+    MackeyGlassConfig(length=5000),
+    MackeyGlassConfig(length=20000),
+    MackeyGlassConfig(length=700, tau=30, transient=0, x0=0.5),
+    MackeyGlassConfig(length=500, beta_m=0.25, gamma_m=0.15, k=9.65, dt=0.5, x0=0.9),
+])
+def test_mackey_glass_equals_the_numpy_loop(cfg):
+    raw, norm = mackey_glass(cfg)
+    expected_raw, expected_norm = numpy_mackey_glass(cfg)
+    assert raw.dtype == norm.dtype == np.float64
+    assert np.array_equal(raw, expected_raw)
+    assert np.array_equal(norm, expected_norm)
+
+
+@pytest.mark.parametrize("cfg", [
+    MackeyGlassConfig(length=50, x0=1e40),  # x ** k overflows
+    MackeyGlassConfig(length=50, x0=-1.0, k=1.5),  # complex
+    MackeyGlassConfig(length=50, x0=-1.0, k=1.0),  # 1 + x ** k = 0
+    MackeyGlassConfig(length=50, x0=2.0, dt=1e300),  # inf - inf
+])
+def test_mackey_glass_rejects_a_diverging_series(cfg):
+    with pytest.raises(HubnetError, match="not finite and real"):
+        mackey_glass(cfg)
+
+
 def test_mackey_glass_config_validation():
     with pytest.raises(ValueError):
         MackeyGlassConfig(length=0)
