@@ -1,5 +1,6 @@
-"""The one exception type the hubnet modules raise, and the memory guard."""
+"""The one exception type the hubnet modules raise, and its common checks."""
 
+import operator
 import os
 
 
@@ -25,3 +26,15 @@ def check_memory(need: int, subject: str, purpose: str) -> None:
     if physical > 0 and need > physical:
         raise HubnetError(f"{subject} needs about {need / 2**30:,.1f} GiB {purpose}, "
                           f"more than the {physical / 2**30:,.1f} GiB of physical memory")
+
+
+def check_int(name: str, value) -> None:
+    """Raise ``HubnetError`` unless ``value`` is an integer (``operator.index``).
+
+    A float such as 10.5, or even 10.0, is refused: used as a size it
+    fails late with a raw ``TypeError``, or truncates silently.
+    """
+    try:
+        operator.index(value)
+    except TypeError:
+        raise HubnetError(f"{name} must be an integer, got {value!r}") from None

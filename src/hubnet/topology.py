@@ -14,7 +14,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import HubnetError, check_memory
+from .errors import HubnetError, check_int, check_memory
 
 __all__ = [
     "TopologyConfig",
@@ -62,6 +62,7 @@ class TopologyConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_int("n", self.n)
         if self.n < 0:
             raise HubnetError(f"n must be nonnegative, got {self.n}")
         for name in ("density", "alpha", "beta", "lambda_dc", "lambda_nc",

@@ -5,7 +5,9 @@ from hubnet import bench
 from hubnet.errors import HubnetError
 from hubnet.netmetrics import node_degrees
 from hubnet.reservoir import (
+    Esn,
     EsnConfig,
+    _row_blocks,
     fit_readout,
     harvest,
     harvest_chunks,
@@ -16,7 +18,7 @@ from hubnet.reservoir import (
     spectral_radius,
     stream_readout,
 )
-from hubnet.topology import TopologyConfig
+from hubnet.topology import Network, TopologyConfig
 
 
 def small_esn(seed=0, **kwargs):
@@ -51,6 +53,20 @@ TOPOLOGY_FLOATS = ("density", "alpha", "beta", "lambda_dc", "lambda_nc",
 def test_configs_reject_non_finite_floats(config, field, value):
     with pytest.raises(HubnetError, match=field):
         config(n=50, **{field: value})
+
+
+# each used to fail late with a raw TypeError, or to pass silently
+@pytest.mark.parametrize("call, name", [
+    (lambda: EsnConfig(n=10.5), "n"),
+    (lambda: EsnConfig(n=10, input_dim=2.0), "input_dim"),
+    (lambda: TopologyConfig(n=7.5), "n"),
+    (lambda: EsnConfig(n=10, washout=1.5), "washout"),
+    (lambda: fit_readout(np.ones((6, 2)), np.ones(6), washout=1.5), "washout"),
+    (lambda: next(harvest_chunks(small_esn(), np.ones(5), 2.5)), "steps"),
+])
+def test_non_integer_sizes_are_rejected(call, name):
+    with pytest.raises(HubnetError, match=f"^{name} must be an integer, got "):
+        call()
 
 
 def test_default_topology_matches_size_and_seed():
@@ -203,6 +219,64 @@ def test_harvest_chunks_survive_a_consumer_that_overwrites_them():
         chunk[:] = 0.0
     # every chunk is a view of the same buffer
     assert len(buffers) == 1
+
+
+def reference_harvest(esn, inputs, s0=None):
+    """The recurrence as one fresh tanh per step: the bits ``harvest`` keeps."""
+    u = np.asarray(inputs, dtype=float)
+    single = u.ndim < 3
+    if single:
+        u = u.reshape(1, len(u), -1)
+    s = np.zeros((len(u), esn.n))
+    if s0 is not None:
+        s[:] = s0
+    states = np.empty((u.shape[1], len(u), esn.n))
+    w_in_t, w_rec_t = esn.w_in.T, esn.w_rec.T
+    for t in range(u.shape[1]):
+        s = np.tanh(u[:, t] @ w_in_t + s @ w_rec_t)
+        states[t] = s
+    states = states.transpose(1, 0, 2)
+    return states[0] if single else states
+
+
+def dense_esn(n, input_dim, seed):
+    """An ESN on a dense random w_rec, so any n has one, down to n = 1."""
+    rng = np.random.default_rng(seed)
+    cfg = EsnConfig(n=n, input_dim=input_dim, seed=seed)
+    w_rec = rng.normal(0.0, 1.0 / np.sqrt(n), size=(n, n))
+    net = Network(weights=w_rec, coords=np.zeros((n, 3)), config=cfg.topology)
+    return Esn(w_in=rng.uniform(-1.0, 1.0, size=(n, input_dim)), w_rec=w_rec,
+               input_mask=np.ones(n, dtype=bool), network=net, config=cfg)
+
+
+# around the 64-row block edges, and n = 700, past OpenBLAS's threaded dgemv
+@pytest.mark.parametrize("batch", [1, 3, 147])
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 129, 200, 333, 500, 700])
+def test_harvest_keeps_the_bits_of_the_per_step_recurrence(n, batch):
+    t_len = 12
+    for d in (1, 3):
+        esn = dense_esn(n, d, seed=n + d)
+        rng = np.random.default_rng(n * batch + d)
+        u = rng.uniform(-1.0, 1.0, size=(batch, t_len, d))
+        inputs = u[0] if batch == 1 else u
+        for s0 in (None, rng.uniform(-0.5, 0.5, size=n)):
+            expected = reference_harvest(esn, inputs, s0)
+            assert np.array_equal(harvest(esn, inputs, s0=s0), expected)
+            for steps in (1, 7, t_len):
+                chunks = stacked_chunks(esn, inputs, steps, s0)
+                assert np.array_equal(chunks[:, 0] if batch == 1 else chunks.transpose(1, 0, 2),
+                                      expected)
+
+
+def test_row_blocks_cover_every_row_once():
+    for n in range(1000):
+        for batch in (1, 3):
+            blocks = _row_blocks(n, batch)
+            assert np.array_equal(np.concatenate([np.arange(n)[b] for b in blocks]),
+                                  np.arange(n))
+            assert len(blocks) == 1 or (batch == 1 and blocks[0].stop % 64 == 0)
+    # the n = 500 oracle cases run the split
+    assert _row_blocks(500, 1) == [slice(0, 256), slice(256, 500)]
 
 
 def test_harvest_and_fit_readout_reject_non_finite():
