@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HubnetError, check_memory
+from .errors import HubnetError, check_int, check_memory
 from .netmetrics import node_degrees
 from .reservoir import (
     EsnConfig,
@@ -115,6 +115,8 @@ class TrialSpec:
             raise HubnetError(f"unknown task {self.task!r}")
         if self.model not in MODELS:
             raise HubnetError(f"unknown model {self.model!r}")
+        for name, low in (("n", 1), ("n_train", 1), ("n_test", 1), ("trial_index", 0)):
+            check_int(name, getattr(self, name), low)
 
     @property
     def dataset_seed(self) -> int:
@@ -212,50 +214,45 @@ def _mnist_chunks(esn, mnist: MnistData, indices: np.ndarray):
             yield i0, t0, chunk, onehot
 
 
-def _train_rows(chunks, washout: int, t_len: int, col_abs: np.ndarray):
+def _train_rows(chunks, washout: int, col_abs: np.ndarray):
     """(S, Y) row blocks for ``stream_readout``, one per chunk.
 
-    Row (t, b) of a chunk is row (i0 + b) * t_len + t of the image-major
-    train matrix S; the rows before ``washout`` there are dropped from the
-    fit but not from ``col_abs``, which each chunk's column sums of |S|
-    are added to once the fit has summed it.
+    Every image drops its first ``washout`` steps from the fit, as each
+    starts from the zero state, but not from ``col_abs``, which each
+    chunk's column sums of |S| are added to once the fit has summed it.
     """
-    for i0, t0, chunk, onehot in chunks:
-        steps, batch, n = chunk.shape
-        states = chunk.reshape(-1, n)
-        targets = np.tile(onehot, (steps, 1))
-        if i0 * t_len + t0 < washout:
-            rows = (i0 + np.arange(batch)) * t_len + (t0 + np.arange(steps))[:, None]
-            keep = rows.reshape(-1) >= washout
-            yield states[keep], targets[keep]
-        else:
-            yield states, targets
+    for _, t0, chunk, onehot in chunks:
+        kept = chunk[max(washout - t0, 0):]
+        yield kept.reshape(-1, chunk.shape[2]), np.tile(onehot, (len(kept), 1))
         # |S| overwrites the chunk, which the fit no longer needs
+        states = chunk.reshape(-1, chunk.shape[2])
         col_abs += np.abs(states, out=states).sum(axis=0)
 
 
 def _mnist_readout(esn, mnist: MnistData, train_idx: np.ndarray):
     """MNIST readout and column sums of |S|, without holding the state matrix S.
 
-    S holds image-major rows: image i's column states, then image i + 1's.
-    ``stream_readout`` fits it one chunk at a time; when it needs S whole,
-    all training images are harvested again in one batch, which gives the
-    same bits.
+    S holds image-major rows: image i's column states after its first
+    ``washout`` columns, then image i + 1's.  ``stream_readout`` fits it
+    one chunk at a time; when it needs S whole, all training images are
+    harvested again in one batch, which gives the same bits.
     """
     col_abs = np.zeros(esn.n)
-    t_len, washout = mnist.images.shape[2], esn.config.washout
+    washout, steps = esn.config.washout, mnist.images.shape[2]
+    kept = steps - washout  # steps of each image in the fit
 
     def whole():
-        rows = len(train_idx) * t_len
-        # S and the copy lstsq makes of it
-        check_memory(2 * 8 * rows * esn.n, f"a {rows:,} x {esn.n} state matrix",
-                     "for the lstsq readout")
+        rows = len(train_idx) * kept
+        # the harvest, S cut from it (the harvest itself at washout 0) and
+        # the copy lstsq makes of S
+        check_memory(8 * len(train_idx) * (steps + kept) * esn.n,
+                     f"a {rows:,} x {esn.n} state matrix", "for the lstsq readout")
         train_in, onehot = mnist_sequences(mnist, train_idx)
-        states = harvest(esn, train_in).reshape(-1, esn.n)
-        return states[washout:], np.repeat(onehot, t_len, axis=0)[washout:]
+        states = harvest(esn, train_in)[:, washout:].reshape(-1, esn.n)
+        return states, np.repeat(onehot, kept, axis=0)
 
     chunks = _mnist_chunks(esn, mnist, train_idx)
-    w_out = stream_readout(_train_rows(chunks, washout, t_len, col_abs), whole, (esn.n, 10))
+    w_out = stream_readout(_train_rows(chunks, washout, col_abs), whole, (esn.n, 10))
     return w_out, col_abs
 
 
@@ -352,8 +349,7 @@ def run_experiment(grid, repeats: int, base_seed: int, jobs: int = 1,
     Results come back sorted by grid point then trial index, independent
     of the degree of parallelism.
     """
-    if repeats < 1:
-        raise HubnetError("repeats must be >= 1")
+    check_int("repeats", repeats, 1)
     specs = [
         TrialSpec(task=task, model=model, n=n, n_train=n_train,
                   n_test=n_test, trial_index=t, base_seed=base_seed)

@@ -28,13 +28,17 @@ def check_memory(need: int, subject: str, purpose: str) -> None:
                           f"more than the {physical / 2**30:,.1f} GiB of physical memory")
 
 
-def check_int(name: str, value) -> None:
-    """Raise ``HubnetError`` unless ``value`` is an integer (``operator.index``).
+def check_int(name: str, value, low: int | None = None) -> None:
+    """Raise ``HubnetError`` unless ``value`` is an integer of at least ``low``.
 
-    A float such as 10.5, or even 10.0, is refused: used as a size it
-    fails late with a raw ``TypeError``, or truncates silently.
+    An integer is what ``operator.index`` takes: a float such as 10.5, or
+    even 10.0, is refused, because used as a size it fails late with a raw
+    ``TypeError``, or truncates silently.  ``low`` None sets no bound.
     """
     try:
         operator.index(value)
     except TypeError:
         raise HubnetError(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        bound = "nonnegative" if low == 0 else f">= {low}"
+        raise HubnetError(f"{name} must be {bound}, got {value}")

@@ -48,6 +48,8 @@ class EsnConfig:
 
     ``topology`` defaults to a hub config of matching size; its mode sets
     the recurrent structure while ``injection`` sets where input lands.
+    ``washout`` is the number of leading states of every sequence, a
+    transient from the zero state, that the readout fit drops.
     ``seed`` seeds the network, ``w_in`` and the input mask: ``init_esn``
     never reads ``topology.seed``, because ``generate_network`` draws from
     the ESN's stream, so a ``topology.seed`` other than ``seed`` is
@@ -64,16 +66,15 @@ class EsnConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n", "input_dim", "washout"):
-            check_int(name, getattr(self, name))
+        check_int("n", self.n)
+        check_int("input_dim", self.input_dim)
+        check_int("washout", self.washout, 0)
         if not (0.0 < self.r_sig <= 1.0):
             raise HubnetError(f"r_sig must be in (0, 1], got {self.r_sig}")
         if not 0.0 < self.spec_rad < np.inf:
             raise HubnetError(f"spec_rad must be positive and finite, got {self.spec_rad}")
         if self.injection not in ("hub", "random"):
             raise HubnetError(f"injection must be 'hub' or 'random', got {self.injection!r}")
-        if self.washout < 0:
-            raise HubnetError("washout must be nonnegative")
         if self.topology is None:
             object.__setattr__(self, "topology", TopologyConfig(n=self.n, seed=self.seed))
         elif self.topology.n != self.n:
@@ -241,9 +242,7 @@ def harvest_chunks(esn: Esn, inputs: np.ndarray, steps: int,
     carries its own copy of the last state, so a consumer may overwrite a
     chunk in place.
     """
-    check_int("steps", steps)
-    if steps < 1:
-        raise HubnetError(f"steps must be >= 1, got {steps}")
+    check_int("steps", steps, 1)
     u, s, _ = _checked_inputs(esn, inputs, s0)
     t_len = u.shape[1]
     buf, rec = np.empty((min(steps, t_len), u.shape[0], esn.n)), np.empty_like(s)
@@ -274,17 +273,16 @@ def _gram_solve(gram: np.ndarray, sty: np.ndarray) -> np.ndarray | None:
     return np.linalg.solve(gram, sty)
 
 
-def stream_readout(blocks, whole, shape: tuple[int, int], washout: int = 0) -> np.ndarray:
+def stream_readout(blocks, whole, shape: tuple[int, int]) -> np.ndarray:
     """Minimum-norm least-squares readout of S and Y, given as row blocks.
 
     ``blocks`` yields ``(states, targets)`` pairs, consecutive row blocks
-    of S (n columns) and Y (k columns), where ``shape`` is (n, k).  The
-    first ``washout`` rows of the stacked blocks are dropped, also where
-    they cross blocks.  S^T S and S^T Y are summed one block at a time, and
-    no block is referenced once the next is requested, so a generator of
-    blocks keeps one block alive.  ``whole()`` returns all of S and Y at
-    once; it is called only when the Gram solve is not taken, which
-    includes every S with a non-finite entry.
+    of S (n columns) and Y (k columns), where ``shape`` is (n, k); the
+    caller drops any washout rows before they get here.  S^T S and S^T Y
+    are summed one block at a time, and no block is referenced once the
+    next is requested, so a generator of blocks keeps one block alive.
+    ``whole()`` returns all of S and Y at once; it is called only when the
+    Gram solve is not taken, which includes every S with a non-finite entry.
 
     With at least as many rows as columns, the fit solves the normal
     equations (S^T S) w = S^T Y when the eigenvalues of S^T S give
@@ -297,7 +295,6 @@ def stream_readout(blocks, whole, shape: tuple[int, int], washout: int = 0) -> n
     Mackey-Glass fits, whose Gram matrices are numerically singular.
     """
     n, k = shape
-    check_int("washout", washout)
     # allocated before the first block exists: allocated after it, they
     # fragmented the heap and raised an n = 500 MNIST run's peak RSS from
     # 75 to 87 MB
@@ -309,9 +306,7 @@ def stream_readout(blocks, whole, shape: tuple[int, int], washout: int = 0) -> n
                               f"{n} state and {k} target columns")
         if s.shape[0] != y.shape[0]:
             raise HubnetError(f"{s.shape[0]} state rows vs {y.shape[0]} target rows")
-        skip = max(washout - rows, 0)
         rows += s.shape[0]
-        s, y = s[skip:], y[skip:]
         if not np.isfinite(y).all():
             raise HubnetError("readout states and targets must be finite")
         gram += s.T @ s
@@ -319,17 +314,16 @@ def stream_readout(blocks, whole, shape: tuple[int, int], washout: int = 0) -> n
         # a block still referenced while the next one is made raised the
         # same peak RSS to 91 MB
         del s, y
-    if rows - washout < 1:
+    if rows < 1:
         raise HubnetError("washout leaves no rows to fit")
     # a non-finite state makes its diagonal entry of S^T S non-finite
     w_out = None
-    if 0 < n <= rows - washout and np.isfinite(gram).all():
+    if 0 < n <= rows and np.isfinite(gram).all():
         w_out = _gram_solve(gram, sty)
     # freed before whole() makes S and lstsq copies it
     del gram, sty
     if w_out is None:
         s, y = whole()
-        s, y = s[washout:], y[washout:]
         if not np.isfinite(s).all():
             raise HubnetError("readout states and targets must be finite")
         w_out = np.linalg.lstsq(s, y, rcond=1e-10)[0]
@@ -342,6 +336,7 @@ def fit_readout(states: np.ndarray, targets: np.ndarray, washout: int = 0) -> np
     Rows before ``washout`` are dropped; ``stream_readout`` with one block
     says how the fit is solved.
     """
+    check_int("washout", washout, 0)
     states = np.asarray(states, dtype=float)
     targets = np.asarray(targets, dtype=float)
     if states.ndim != 2 or targets.ndim not in (1, 2):
@@ -350,8 +345,9 @@ def fit_readout(states: np.ndarray, targets: np.ndarray, washout: int = 0) -> np
     squeeze = targets.ndim == 1
     if squeeze:
         targets = targets[:, None]
+    states, targets = states[washout:], targets[washout:]
     w_out = stream_readout([(states, targets)], lambda: (states, targets),
-                           (states.shape[1], targets.shape[1]), washout)
+                           (states.shape[1], targets.shape[1]))
     return w_out[:, 0] if squeeze else w_out
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HubnetError
+from .errors import HubnetError, check_int
 
 __all__ = [
     "MackeyGlassConfig",
@@ -46,12 +46,9 @@ class MackeyGlassConfig:
     x0: float = 1.2
 
     def __post_init__(self):
-        if self.length < 1:
-            raise HubnetError("length must be >= 1")
-        if self.tau < 1:
-            raise HubnetError("tau must be >= 1")
-        if self.transient < 0:
-            raise HubnetError("transient must be nonnegative")
+        check_int("length", self.length, 1)
+        check_int("tau", self.tau, 1)
+        check_int("transient", self.transient, 0)
 
 
 @dataclass(frozen=True)
@@ -65,10 +62,8 @@ class NarmaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.length < 1:
-            raise HubnetError("length must be >= 1")
-        if self.l < 1:
-            raise HubnetError("l must be >= 1")
+        check_int("length", self.length, 1)
+        check_int("l", self.l, 1)
 
 
 @dataclass

@@ -62,9 +62,7 @@ class TopologyConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_int("n", self.n)
-        if self.n < 0:
-            raise HubnetError(f"n must be nonnegative, got {self.n}")
+        check_int("n", self.n, 0)
         for name in ("density", "alpha", "beta", "lambda_dc", "lambda_nc",
                      "lambda_reg", "weight_sigma2"):
             # a NaN passes the "< 0" checks below, and NaN or infinite

@@ -38,6 +38,13 @@ def test_spec_validation():
         spec(task="lorenz")
     with pytest.raises(ValueError):
         spec(model="lstm")
+    # a negative n_train used to fit 6 rows and score 2, with score 0.0
+    for field, value, message in [("n", 0, "n must be >= 1, got 0"),
+                                  ("n_train", -2, "n_train must be >= 1, got -2"),
+                                  ("n_test", 0, "n_test must be >= 1, got 0"),
+                                  ("trial", -1, "trial_index must be nonnegative, got -1")]:
+        with pytest.raises(HubnetError, match=message):
+            spec(task="narma10", **{field: value})
 
 
 def test_dataset_seed_is_model_independent():
@@ -254,25 +261,37 @@ def synthetic_mnist(count, seed=0):
 
 
 def whole_train_states(s, data, bundle):
-    """The train-state matrix and targets of an MNIST trial, harvested at once."""
+    """The train states of an MNIST trial, harvested at once: (images, 28, n)."""
     train_idx = np.random.default_rng(s.dataset_seed).permutation(data.count)[:s.n_train]
     train_in, onehot = mnist_sequences(data, train_idx)
-    states = reservoir.harvest(bundle["esn"], train_in).reshape(-1, s.n)
-    return states, np.repeat(onehot, 28, axis=0)
+    return reservoir.harvest(bundle["esn"], train_in), onehot
 
 
-# 4,116-row blocks of 147 images: washout 30 ends inside the second image,
-# washout 4,200 inside the second block; 200 images leave a partial block
-@pytest.mark.parametrize("washout", [0, 30, 4200])
+# 200 images make blocks of 147 and 53 images, 4 steps a chunk: washout 5
+# ends inside the second chunk of every image, 27 leaves each image's last step
+@pytest.mark.parametrize("washout", [0, 5, 27])
 def test_streamed_mnist_readout_matches_fit_on_whole_states(monkeypatch, washout):
     data = synthetic_mnist(230)
-    s = spec("hubesn", task="mnist", n=50, n_train=200, n_test=30)
+    # the esn model: this hubesn reservoir has a neuron no input reaches, and
+    # its singular S^T S would send the streamed fit to lstsq on whole()
+    s = spec("esn", task="mnist", n=50, n_train=200, n_test=30)
     overrides = {"washout": washout}
-    streamed = readout_analysis(s, overrides, mnist=data)
-    states, targets = whole_train_states(s, data, streamed)
-    w_ref = reservoir.fit_readout(states, targets, washout=washout)
+
+    def no_lstsq(*args, **kwargs):
+        raise AssertionError("the streamed fit must come from the chunked Gram sums")
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "lstsq", no_lstsq)
+        streamed = readout_analysis(s, overrides, mnist=data)
+    batch, onehot = whole_train_states(s, data, streamed)
+    # every image drops its own first washout steps
+    states = batch[:, washout:].reshape(-1, s.n)
+    targets = np.repeat(onehot, 28 - washout, axis=0)
+    w_ref = reservoir.fit_readout(states, targets)
     assert np.max(np.abs(streamed["w_out"] - w_ref)) <= 1e-9 * np.max(np.abs(w_ref))
-    w_norm_ref = reservoir.normalized_readout_weights(w_ref, np.abs(states).sum(axis=0))
+    # the column sums of |S| cover every step, washout or not
+    col_abs = np.abs(batch).sum(axis=(0, 1))
+    w_norm_ref = reservoir.normalized_readout_weights(w_ref, col_abs)
     assert np.allclose(streamed["w_norm"], w_norm_ref, rtol=1e-8, atol=0.0)
 
     test_idx = np.random.default_rng(s.dataset_seed).permutation(data.count)[200:230]
@@ -283,8 +302,14 @@ def test_streamed_mnist_readout_matches_fit_on_whole_states(monkeypatch, washout
     # a rejected gate re-harvests the whole state matrix and runs lstsq on it
     reject_gram_solves(monkeypatch)
     rejected = readout_analysis(s, overrides, mnist=data)
-    lstsq = np.linalg.lstsq(states[washout:], targets[washout:], rcond=1e-10)[0]
+    lstsq = np.linalg.lstsq(states, targets, rcond=1e-10)[0]
     assert np.array_equal(rejected["w_out"], lstsq)
+
+
+def test_mnist_washout_of_a_whole_image_leaves_no_rows():
+    s = spec("hubesn", task="mnist", n=30, n_train=20, n_test=5)
+    with pytest.raises(HubnetError, match="washout leaves no rows to fit"):
+        readout_analysis(s, {"washout": 28}, mnist=synthetic_mnist(25))
 
 
 def test_streamed_mnist_readout_rejects_non_finite_states(monkeypatch):
@@ -359,19 +384,24 @@ def fake_chunks(count, block, steps, t_len=28):
             yield i0, t0, rows[:, :, None].astype(float), onehot
 
 
-@pytest.mark.parametrize("washout", [0, 1, 27, 28, 29, 30, 200, 4116, 4125, 5599, 5600])
+# chunk edges at steps 4, 8, ..., 24; any washout from 28 on keeps no row,
+# however far past 28 it is
+@pytest.mark.parametrize("washout", [0, 1, 3, 4, 5, 27, 28, 29, 30, 200, 4116, 4125,
+                                     5599, 5600])
 def test_train_rows_drop_the_first_washout_rows_of_image_major_states(washout):
-    # 200 images in blocks of 147 and 53, 4 steps a chunk; row r of S is
-    # image r // 28 after column r % 28
+    # 200 images in blocks of 147 and 53, 4 steps a chunk; row r of the
+    # image-major S is image r // 28 after column r % 28, and every image
+    # drops its own first washout columns
     col_abs = np.zeros(1)
     kept, images = [], []
-    for states, targets in bench._train_rows(fake_chunks(200, 147, 4), washout, 28, col_abs):
+    for states, targets in bench._train_rows(fake_chunks(200, 147, 4), washout, col_abs):
         kept.append(states[:, 0])
         images.append(targets[:, 0])
     kept, images = np.concatenate(kept), np.concatenate(images)
+    expected = np.arange(5600)[np.arange(5600) % 28 >= washout]
     order = np.argsort(kept)
-    assert np.array_equal(kept[order], np.arange(washout, 5600))
-    assert np.array_equal(images[order], np.arange(washout, 5600) // 28)
+    assert np.array_equal(kept[order], expected)
+    assert np.array_equal(images[order], expected // 28)
     # the column sums cover every row, washout or not
     assert col_abs[0] == np.arange(5600).sum()
 
@@ -387,11 +417,13 @@ def test_lstsq_readout_refuses_states_larger_than_memory(monkeypatch):
         raise AssertionError("the guard must refuse before the harvest")
 
     monkeypatch.setattr(bench, "harvest", no_harvest)
-    # generation needs 48 n**2 = 43 kB; S and lstsq's copy 2 * 560 * 30 * 8
-    with pytest.raises(HubnetError, match="a 560 x 30 state matrix needs about .* GiB "
-                                          "for the lstsq readout, more than the .* GiB "
-                                          "of physical memory"):
-        readout_analysis(s, mnist=data)
+    # generation needs 48 n**2 = 43 kB; the harvest, S and lstsq's copy of S
+    # (28 + rows / 20) * 20 * 30 * 8, 20 images of 28 - washout rows each
+    for washout, rows in [(0, 560), (5, 460)]:
+        with pytest.raises(HubnetError, match=f"a {rows} x 30 state matrix needs about .* "
+                                              "GiB for the lstsq readout, more than the .* "
+                                              "GiB of physical memory"):
+            readout_analysis(s, {"washout": washout}, mnist=data)
 
 
 def test_mackey_glass_trial_never_holds_its_train_and_test_states_together():

@@ -18,6 +18,7 @@ from hubnet.reservoir import (
     spectral_radius,
     stream_readout,
 )
+from hubnet.tasks import MackeyGlassConfig, NarmaConfig
 from hubnet.topology import Network, TopologyConfig
 
 
@@ -63,6 +64,13 @@ def test_configs_reject_non_finite_floats(config, field, value):
     (lambda: EsnConfig(n=10, washout=1.5), "washout"),
     (lambda: fit_readout(np.ones((6, 2)), np.ones(6), washout=1.5), "washout"),
     (lambda: next(harvest_chunks(small_esn(), np.ones(5), 2.5)), "steps"),
+    (lambda: MackeyGlassConfig(length=10.5), "length"),
+    (lambda: MackeyGlassConfig(tau=17.0), "tau"),
+    (lambda: MackeyGlassConfig(transient=0.5), "transient"),
+    (lambda: NarmaConfig(length=10.5), "length"),
+    (lambda: NarmaConfig(l=10.0), "l"),
+    (lambda: bench.run_experiment([("narma10", "esn", 20, 30, 10)], 1.5, 0), "repeats"),
+    (lambda: bench.TrialSpec("mackey_glass", "esn", 20, 2.5, 10), "n_train"),
 ])
 def test_non_integer_sizes_are_rejected(call, name):
     with pytest.raises(HubnetError, match=f"^{name} must be an integer, got "):
@@ -385,9 +393,8 @@ def test_stream_readout_across_blocks_matches_one_block_fit():
     s = rng.normal(size=(300, 20))
     y = rng.normal(size=(300, 3))
     whole, calls = counting_whole(s, y)
-    # washout 130 ends inside the second block
-    w = stream_readout(iter(row_blocks(s, y, [0, 100, 180, 300])), whole, (20, 3), washout=130)
-    expected = fit_readout(s, y, washout=130)
+    w = stream_readout(iter(row_blocks(s, y, [0, 100, 180, 300])), whole, (20, 3))
+    expected = fit_readout(s, y)
     assert np.max(np.abs(w - expected)) <= 1e-9 * np.max(np.abs(expected))
     assert calls == []  # the gate accepted, so S was never needed whole
 
@@ -400,21 +407,21 @@ def test_stream_readout_fetches_whole_states_once_for_lstsq(kind):
         s = np.random.default_rng(18).normal(size=(40, 50))  # fewer rows than columns
     y = np.random.default_rng(19).normal(size=(s.shape[0], 2))
     whole, calls = counting_whole(s, y)
-    w = stream_readout(row_blocks(s, y, [0, 15, 25, s.shape[0]]), whole, (s.shape[1], 2),
-                       washout=20)
+    w = stream_readout(row_blocks(s, y, [0, 15, 25, s.shape[0]]), whole, (s.shape[1], 2))
     assert calls == [1]
-    assert np.array_equal(w, lstsq_readout(s[20:], y[20:]))
+    assert np.array_equal(w, lstsq_readout(s, y))
 
 
 def test_stream_readout_errors():
     s, y = np.ones((10, 3)), np.ones((10, 1))
     with pytest.raises(HubnetError, match="4 state rows vs 5 target rows"):
         stream_readout([(s[:4], y[:5])], None, (3, 1))
+    # blocks with no rows, as an MNIST washout of every step makes
     with pytest.raises(HubnetError, match="washout leaves no rows to fit"):
-        stream_readout(row_blocks(s, y, [0, 4, 10]), None, (3, 1), washout=10)
+        stream_readout(row_blocks(s, y, [0, 0, 0]), None, (3, 1))
     y[7] = np.inf
     with pytest.raises(HubnetError, match="must be finite"):
-        stream_readout(row_blocks(s, y, [0, 4, 10]), None, (3, 1), washout=2)
+        stream_readout(row_blocks(s, y, [0, 4, 10]), None, (3, 1))
     # a non-finite target is caught even when S has no columns
     with pytest.raises(HubnetError, match="must be finite"):
         fit_readout(s[:, :0], y)
@@ -460,6 +467,11 @@ def test_fit_readout_washout_and_errors():
         fit_readout(s, y[:30])
     with pytest.raises(HubnetError, match="washout leaves no rows to fit"):
         fit_readout(s, y, washout=40)
+    # a negative washout used to fit the last rows, or to be ignored
+    with pytest.raises(HubnetError, match="washout must be nonnegative"):
+        fit_readout(s, y, washout=-3)
+    with pytest.raises(HubnetError, match="washout must be nonnegative"):
+        fit_readout(rng.normal(size=(40, 50)), y, washout=-3)
 
 
 def test_fit_readout_multi_output_shape():
