@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HubnetError, check_int, check_memory
+from .errors import HubnetError, check_int
 from .netmetrics import node_degrees
 from .reservoir import (
     EsnConfig,
@@ -115,7 +115,8 @@ class TrialSpec:
             raise HubnetError(f"unknown task {self.task!r}")
         if self.model not in MODELS:
             raise HubnetError(f"unknown model {self.model!r}")
-        for name, low in (("n", 1), ("n_train", 1), ("n_test", 1), ("trial_index", 0)):
+        for name, low in (("n", 1), ("n_train", 1), ("n_test", 1), ("trial_index", 0),
+                          ("base_seed", None)):
             check_int(name, getattr(self, name), low)
 
     @property
@@ -234,26 +235,19 @@ def _mnist_readout(esn, mnist: MnistData, train_idx: np.ndarray):
 
     S holds image-major rows: image i's column states after its first
     ``washout`` columns, then image i + 1's.  ``stream_readout`` fits it
-    one chunk at a time; when it needs S whole, all training images are
-    harvested again in one batch, which gives the same bits.
+    one chunk at a time; each pass it makes over the chunks harvests the
+    training images again and sums ``col_abs`` afresh, to the same bits.
     """
+    washout = esn.config.washout
+    if washout >= mnist.images.shape[2]:
+        raise HubnetError("washout leaves no rows to fit")
     col_abs = np.zeros(esn.n)
-    washout, steps = esn.config.washout, mnist.images.shape[2]
-    kept = steps - washout  # steps of each image in the fit
 
-    def whole():
-        rows = len(train_idx) * kept
-        # the harvest, S cut from it (the harvest itself at washout 0) and
-        # the copy lstsq makes of S
-        check_memory(8 * len(train_idx) * (steps + kept) * esn.n,
-                     f"a {rows:,} x {esn.n} state matrix", "for the lstsq readout")
-        train_in, onehot = mnist_sequences(mnist, train_idx)
-        states = harvest(esn, train_in)[:, washout:].reshape(-1, esn.n)
-        return states, np.repeat(onehot, kept, axis=0)
+    def blocks():
+        col_abs[:] = 0.0
+        return _train_rows(_mnist_chunks(esn, mnist, train_idx), washout, col_abs)
 
-    chunks = _mnist_chunks(esn, mnist, train_idx)
-    w_out = stream_readout(_train_rows(chunks, washout, col_abs), whole, (esn.n, 10))
-    return w_out, col_abs
+    return stream_readout(blocks, (esn.n, 10)), col_abs
 
 
 def _mnist_step_scores(esn, mnist: MnistData, test_idx: np.ndarray,

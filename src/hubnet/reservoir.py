@@ -273,26 +273,24 @@ def _gram_solve(gram: np.ndarray, sty: np.ndarray) -> np.ndarray | None:
     return np.linalg.solve(gram, sty)
 
 
-def stream_readout(blocks, whole, shape: tuple[int, int]) -> np.ndarray:
+def stream_readout(blocks, shape: tuple[int, int]) -> np.ndarray:
     """Minimum-norm least-squares readout of S and Y, given as row blocks.
 
-    ``blocks`` yields ``(states, targets)`` pairs, consecutive row blocks
-    of S (n columns) and Y (k columns), where ``shape`` is (n, k); the
-    caller drops any washout rows before they get here.  S^T S and S^T Y
-    are summed one block at a time, and no block is referenced once the
-    next is requested, so a generator of blocks keeps one block alive.
-    ``whole()`` returns all of S and Y at once; it is called only when the
-    Gram solve is not taken, which includes every S with a non-finite entry.
+    ``blocks()`` returns a fresh iterable of ``(states, targets)`` pairs,
+    consecutive row blocks of S (n columns) and Y (k columns), where
+    ``shape`` is (n, k); the caller drops any washout rows before they get
+    here.  No block is referenced once the next is requested, so a
+    generator of blocks keeps one block alive.
 
-    With at least as many rows as columns, the fit solves the normal
-    equations (S^T S) w = S^T Y when the eigenvalues of S^T S give
-    lambda_min > 1e-10 * lambda_max (cond(S) < 1e5).  No singular value
-    then falls below the rcond cutoff of 1e-10 * sigma_max, so this is the
-    same full-rank least-squares solution as ``lstsq``'s, up to rounding:
-    the Gram solve's forward error is about cond(S^T S) * eps, below 3e-6
-    relative.  Every other fit runs ``lstsq(S, Y, rcond=1e-10)`` on
-    ``whole()`` and is bit-identical to it; that includes the n = 500
-    Mackey-Glass fits, whose Gram matrices are numerically singular.
+    A first pass sums S^T S and S^T Y.  With at least as many rows as
+    columns and lambda_min > 1e-10 * lambda_max (cond(S) < 1e5), it solves
+    the normal equations: ``fit_readout``'s rcond cutoff of 1e-10 * sigma_max
+    then cuts no singular value, so both give one solution up to rounding
+    (about cond(S^T S) * eps, below 3e-6 relative).  Any other S, one with
+    a non-finite entry included, takes a second pass that reduces [S | Y]
+    to the triangle R of its QR factorization, one QR of [R; block] per
+    block, and returns ``fit_readout`` on R, whose first n columns have S's
+    singular values.
     """
     n, k = shape
     # allocated before the first block exists: allocated after it, they
@@ -300,7 +298,7 @@ def stream_readout(blocks, whole, shape: tuple[int, int]) -> np.ndarray:
     # 75 to 87 MB
     gram, sty = np.zeros((n, n)), np.zeros((n, k))
     rows = 0
-    for s, y in blocks:
+    for s, y in blocks():
         if s.shape[1:] != (n,) or y.shape[1:] != (k,):
             raise HubnetError(f"block shapes {s.shape} and {y.shape} do not match "
                               f"{n} state and {k} target columns")
@@ -317,24 +315,28 @@ def stream_readout(blocks, whole, shape: tuple[int, int]) -> np.ndarray:
     if rows < 1:
         raise HubnetError("washout leaves no rows to fit")
     # a non-finite state makes its diagonal entry of S^T S non-finite
-    w_out = None
     if 0 < n <= rows and np.isfinite(gram).all():
         w_out = _gram_solve(gram, sty)
-    # freed before whole() makes S and lstsq copies it
+        if w_out is not None:
+            return w_out
     del gram, sty
-    if w_out is None:
-        s, y = whole()
-        if not np.isfinite(s).all():
+    r = np.empty((0, n + k))
+    for s, y in blocks():
+        stacked = np.vstack((r, np.hstack((s, y))))
+        del s, y
+        if not np.isfinite(stacked).all():
             raise HubnetError("readout states and targets must be finite")
-        w_out = np.linalg.lstsq(s, y, rcond=1e-10)[0]
-    return w_out
+        r = np.linalg.qr(stacked, mode="r")
+        del stacked
+    return fit_readout(r[:, :n], r[:, n:])
 
 
 def fit_readout(states: np.ndarray, targets: np.ndarray, washout: int = 0) -> np.ndarray:
     """Minimum-norm least-squares readout on the harvested states.
 
-    Rows before ``washout`` are dropped; ``stream_readout`` with one block
-    says how the fit is solved.
+    Rows before ``washout`` are dropped, then the fit is
+    ``lstsq(states, targets, rcond=1e-10)``, which cuts singular values
+    below 1e-10 * sigma_max.
     """
     check_int("washout", washout, 0)
     states = np.asarray(states, dtype=float)
@@ -342,13 +344,14 @@ def fit_readout(states: np.ndarray, targets: np.ndarray, washout: int = 0) -> np
     if states.ndim != 2 or targets.ndim not in (1, 2):
         raise HubnetError(f"states must be 2-D and targets 1-D or 2-D, "
                           f"got {states.ndim}-D and {targets.ndim}-D")
-    squeeze = targets.ndim == 1
-    if squeeze:
-        targets = targets[:, None]
     states, targets = states[washout:], targets[washout:]
-    w_out = stream_readout([(states, targets)], lambda: (states, targets),
-                           (states.shape[1], targets.shape[1]))
-    return w_out[:, 0] if squeeze else w_out
+    if len(states) != len(targets):
+        raise HubnetError(f"{len(states)} state rows vs {len(targets)} target rows")
+    if len(states) < 1:
+        raise HubnetError("washout leaves no rows to fit")
+    if not (np.isfinite(states).all() and np.isfinite(targets).all()):
+        raise HubnetError("readout states and targets must be finite")
+    return np.linalg.lstsq(states, targets, rcond=1e-10)[0]
 
 
 def normalized_readout_weights(w_out: np.ndarray, col_abs: np.ndarray) -> np.ndarray:

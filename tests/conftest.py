@@ -33,3 +33,24 @@ def write_idx(tmp_path):
             fh.write(lab_bytes)
         return img_path, lab_path
     return write
+
+
+@pytest.fixture
+def near_lstsq():
+    """Checker that a readout w is ``lstsq(S, Y, rcond=1e-10)``'s, up to rounding.
+
+    Both solves are backward stable, so each is within a small multiple of
+    kappa(S) * eps of the exact solution, relative to its norm (Higham,
+    "Accuracy and Stability of Numerical Algorithms", 2nd ed., ch. 19-20),
+    where kappa(S) is the ratio of S's largest singular value to its
+    smallest one above the cutoff.  The multiple is taken as n + k, the
+    number of Householder reflections in a QR factorization of [S | Y].
+    """
+    def check(w, s, y):
+        ref = np.linalg.lstsq(s, y, rcond=1e-10)[0]
+        sv = np.linalg.svd(s, compute_uv=False)
+        kept = sv[sv > 1e-10 * sv[0]]
+        c = s.shape[1] + (1 if y.ndim == 1 else y.shape[1])
+        bound = c * kept[0] / kept[-1] * np.finfo(float).eps * np.max(np.abs(ref))
+        assert np.max(np.abs(w - ref)) <= bound
+    return check

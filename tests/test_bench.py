@@ -1,5 +1,4 @@
 import csv
-import os
 import tracemalloc
 
 import numpy as np
@@ -250,7 +249,7 @@ def test_mnist_trial_fits_through_normal_equations(write_idx, monkeypatch):
 
 
 def reject_gram_solves(monkeypatch):
-    """Make the one Gram gate reject, so every fit runs lstsq."""
+    """Make the one Gram gate reject, so every streamed fit takes the QR pass."""
     monkeypatch.setattr(reservoir, "_gram_solve", lambda gram, sty: None)
 
 
@@ -270,10 +269,11 @@ def whole_train_states(s, data, bundle):
 # 200 images make blocks of 147 and 53 images, 4 steps a chunk: washout 5
 # ends inside the second chunk of every image, 27 leaves each image's last step
 @pytest.mark.parametrize("washout", [0, 5, 27])
-def test_streamed_mnist_readout_matches_fit_on_whole_states(monkeypatch, washout):
+def test_streamed_mnist_readout_matches_fit_on_whole_states(monkeypatch, washout,
+                                                             near_lstsq):
     data = synthetic_mnist(230)
     # the esn model: this hubesn reservoir has a neuron no input reaches, and
-    # its singular S^T S would send the streamed fit to lstsq on whole()
+    # its singular S^T S would send the streamed fit to the QR pass
     s = spec("esn", task="mnist", n=50, n_train=200, n_test=30)
     overrides = {"washout": washout}
 
@@ -299,28 +299,34 @@ def test_streamed_mnist_readout_matches_fit_on_whole_states(monkeypatch, washout
     step_scores = reservoir.harvest(streamed["esn"], test_in) @ w_ref
     assert streamed["score"] == majority_vote_accuracy(step_scores, data.labels[test_idx])
 
-    # a rejected gate re-harvests the whole state matrix and runs lstsq on it
+    # a rejected gate reduces the chunks to R, and the same column sums
     reject_gram_solves(monkeypatch)
     rejected = readout_analysis(s, overrides, mnist=data)
-    lstsq = np.linalg.lstsq(states, targets, rcond=1e-10)[0]
-    assert np.array_equal(rejected["w_out"], lstsq)
+    near_lstsq(rejected["w_out"], states, targets)
+    # the second pass over the chunks sums col_abs afresh, not on top
+    w_norm_ref = reservoir.normalized_readout_weights(rejected["w_out"], col_abs)
+    assert np.allclose(rejected["w_norm"], w_norm_ref, rtol=1e-8, atol=0.0)
 
 
-def test_mnist_washout_of_a_whole_image_leaves_no_rows():
+def test_mnist_washout_of_a_whole_image_leaves_no_rows(monkeypatch):
+    def no_harvest(*args, **kwargs):
+        raise AssertionError("the washout must be refused before any harvest")
+
+    monkeypatch.setattr(bench, "harvest_chunks", no_harvest)
     s = spec("hubesn", task="mnist", n=30, n_train=20, n_test=5)
     with pytest.raises(HubnetError, match="washout leaves no rows to fit"):
         readout_analysis(s, {"washout": 28}, mnist=synthetic_mnist(25))
 
 
 def test_streamed_mnist_readout_rejects_non_finite_states(monkeypatch):
-    harvest = reservoir.harvest
+    harvest_chunks = reservoir.harvest_chunks
 
-    def poisoned(esn, inputs, s0=None):
-        states = harvest(esn, inputs, s0)
-        states[-1, -1, 0] = np.nan
-        return states
+    def poisoned(esn, inputs, steps, s0=None):
+        for t0, chunk in harvest_chunks(esn, inputs, steps, s0):
+            chunk[-1, -1, 0] = np.nan
+            yield t0, chunk
 
-    monkeypatch.setattr(bench, "harvest", poisoned)
+    monkeypatch.setattr(bench, "harvest_chunks", poisoned)
     s = spec("hubesn", task="mnist", n=30, n_train=20, n_test=5)
     with pytest.raises(HubnetError, match="readout states and targets must be finite"):
         readout_analysis(s, mnist=synthetic_mnist(25))
@@ -342,7 +348,7 @@ def test_rejected_mnist_gate_runs_once(monkeypatch):
     assert len(calls) == 1 and calls[0] is None
 
 
-def test_mnist_trial_never_holds_its_train_state_matrix():
+def assert_mnist_trial_never_holds_its_train_state_matrix():
     data = synthetic_mnist(1020)
     s = spec("hubesn", task="mnist", n=60, n_train=1000, n_test=20)
     state_bytes = s.n_train * 28 * s.n * 8  # 13.4 MB
@@ -353,6 +359,15 @@ def test_mnist_trial_never_holds_its_train_state_matrix():
     finally:
         tracemalloc.stop()
     assert peak < state_bytes / 2
+
+
+def test_mnist_trial_never_holds_its_train_state_matrix():
+    assert_mnist_trial_never_holds_its_train_state_matrix()
+
+
+def test_rejected_mnist_gate_never_holds_its_train_state_matrix(monkeypatch):
+    reject_gram_solves(monkeypatch)
+    assert_mnist_trial_never_holds_its_train_state_matrix()
 
 
 def test_mnist_trial_never_holds_one_state_block():
@@ -404,26 +419,6 @@ def test_train_rows_drop_the_first_washout_rows_of_image_major_states(washout):
     assert np.array_equal(images[order], expected // 28)
     # the column sums cover every row, washout or not
     assert col_abs[0] == np.arange(5600).sum()
-
-
-def test_lstsq_readout_refuses_states_larger_than_memory(monkeypatch):
-    data = synthetic_mnist(25)
-    s = spec("hubesn", task="mnist", n=30, n_train=20, n_test=5)
-    reject_gram_solves(monkeypatch)
-    pages = {"SC_PAGE_SIZE": 1000, "SC_PHYS_PAGES": 100}  # 100 kB
-    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
-
-    def no_harvest(*args, **kwargs):
-        raise AssertionError("the guard must refuse before the harvest")
-
-    monkeypatch.setattr(bench, "harvest", no_harvest)
-    # generation needs 48 n**2 = 43 kB; the harvest, S and lstsq's copy of S
-    # (28 + rows / 20) * 20 * 30 * 8, 20 images of 28 - washout rows each
-    for washout, rows in [(0, 560), (5, 460)]:
-        with pytest.raises(HubnetError, match=f"a {rows} x 30 state matrix needs about .* "
-                                              "GiB for the lstsq readout, more than the .* "
-                                              "GiB of physical memory"):
-            readout_analysis(s, {"washout": washout}, mnist=data)
 
 
 def test_mackey_glass_trial_never_holds_its_train_and_test_states_together():

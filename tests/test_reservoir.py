@@ -71,6 +71,7 @@ def test_configs_reject_non_finite_floats(config, field, value):
     (lambda: NarmaConfig(l=10.0), "l"),
     (lambda: bench.run_experiment([("narma10", "esn", 20, 30, 10)], 1.5, 0), "repeats"),
     (lambda: bench.TrialSpec("mackey_glass", "esn", 20, 2.5, 10), "n_train"),
+    (lambda: bench.TrialSpec("narma10", "esn", 20, 30, 10, base_seed=1.5), "base_seed"),
 ])
 def test_non_integer_sizes_are_rejected(call, name):
     with pytest.raises(HubnetError, match=f"^{name} must be an integer, got "):
@@ -329,18 +330,20 @@ def lstsq_readout(s, y):
     return np.linalg.lstsq(s, y, rcond=1e-10)[0]
 
 
-def test_fit_readout_well_conditioned_uses_normal_equations(monkeypatch):
+def test_stream_readout_well_conditioned_uses_normal_equations(monkeypatch):
     rng = np.random.default_rng(14)
     s = rng.normal(size=(2000, 50))
     y = rng.normal(size=(2000, 3))
     expected = lstsq_readout(s, y)
+    blocks, calls = counting_blocks(s, y, [0, 2000])
 
     def no_lstsq(*args, **kwargs):
         raise AssertionError("a well-conditioned tall fit must not call lstsq")
 
     monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
-    w = fit_readout(s, y)
+    w = stream_readout(blocks, (50, 3))
     assert np.max(np.abs(w - expected)) <= 1e-9 * np.max(np.abs(expected))
+    assert calls == [1]
 
 
 def ill_conditioned_states():
@@ -379,49 +382,58 @@ def row_blocks(s, y, edges):
     return [(s[a:b], y[a:b]) for a, b in zip(edges[:-1], edges[1:])]
 
 
-def counting_whole(s, y):
+def counting_blocks(s, y, edges):
+    """A ``stream_readout`` block factory over S and Y, and a list of its calls."""
     calls = []
 
-    def whole():
+    def blocks():
         calls.append(1)
-        return s, y
-    return whole, calls
+        return iter(row_blocks(s, y, edges))
+    return blocks, calls
 
 
 def test_stream_readout_across_blocks_matches_one_block_fit():
     rng = np.random.default_rng(17)
     s = rng.normal(size=(300, 20))
     y = rng.normal(size=(300, 3))
-    whole, calls = counting_whole(s, y)
-    w = stream_readout(iter(row_blocks(s, y, [0, 100, 180, 300])), whole, (20, 3))
+    blocks, calls = counting_blocks(s, y, [0, 100, 180, 300])
+    w = stream_readout(blocks, (20, 3))
     expected = fit_readout(s, y)
     assert np.max(np.abs(w - expected)) <= 1e-9 * np.max(np.abs(expected))
-    assert calls == []  # the gate accepted, so S was never needed whole
+    assert calls == [1]  # the gate accepted, so one pass over the blocks
 
 
-@pytest.mark.parametrize("kind", ["graded", "underdetermined"])
-def test_stream_readout_fetches_whole_states_once_for_lstsq(kind):
-    if kind == "graded":
-        s = ill_conditioned_states()["graded"]
-    else:
+@pytest.mark.parametrize("kind", ["graded", "rank-deficient", "unit-pivots",
+                                  "underdetermined"])
+def test_stream_readout_reduces_a_rejected_fit_to_r(kind, near_lstsq):
+    if kind == "underdetermined":
         s = np.random.default_rng(18).normal(size=(40, 50))  # fewer rows than columns
+    else:
+        s = ill_conditioned_states()[kind]
     y = np.random.default_rng(19).normal(size=(s.shape[0], 2))
-    whole, calls = counting_whole(s, y)
-    w = stream_readout(row_blocks(s, y, [0, 15, 25, s.shape[0]]), whole, (s.shape[1], 2))
-    assert calls == [1]
-    assert np.array_equal(w, lstsq_readout(s, y))
+    blocks, calls = counting_blocks(s, y, [0, 15, 25, s.shape[0]])
+    w = stream_readout(blocks, (s.shape[1], 2))
+    assert calls == [1, 1]  # the Gram pass, then the QR pass
+    near_lstsq(w, s, y)
 
 
 def test_stream_readout_errors():
     s, y = np.ones((10, 3)), np.ones((10, 1))
     with pytest.raises(HubnetError, match="4 state rows vs 5 target rows"):
-        stream_readout([(s[:4], y[:5])], None, (3, 1))
-    # blocks with no rows, as an MNIST washout of every step makes
+        stream_readout(lambda: [(s[:4], y[:5])], (3, 1))
+    # blocks with no rows at all
     with pytest.raises(HubnetError, match="washout leaves no rows to fit"):
-        stream_readout(row_blocks(s, y, [0, 0, 0]), None, (3, 1))
+        stream_readout(lambda: row_blocks(s, y, [0, 0, 0]), (3, 1))
+    # a non-finite state fails the Gram pass and is caught by the QR pass
+    poisoned = s.copy()
+    poisoned[7, 0] = np.nan
+    blocks, calls = counting_blocks(poisoned, y, [0, 4, 10])
+    with pytest.raises(HubnetError, match="must be finite"):
+        stream_readout(blocks, (3, 1))
+    assert calls == [1, 1]
     y[7] = np.inf
     with pytest.raises(HubnetError, match="must be finite"):
-        stream_readout(row_blocks(s, y, [0, 4, 10]), None, (3, 1))
+        stream_readout(lambda: row_blocks(s, y, [0, 4, 10]), (3, 1))
     # a non-finite target is caught even when S has no columns
     with pytest.raises(HubnetError, match="must be finite"):
         fit_readout(s[:, :0], y)
@@ -446,7 +458,7 @@ def test_fit_readout_rejects_wrong_ranks(states, targets, message):
 def test_stream_readout_rejects_blocks_of_the_wrong_columns(s, y):
     good = (np.ones((4, 3)), np.ones((4, 1)))
     with pytest.raises(HubnetError, match="do not match 3 state and 1 target columns"):
-        stream_readout([good, (s, y)], None, (3, 1))
+        stream_readout(lambda: [good, (s, y)], (3, 1))
 
 
 def test_fit_readout_minimum_norm_interpolates_when_underdetermined():
