@@ -10,6 +10,7 @@ grid point and trial index, so results do not depend on the job count.
 from __future__ import annotations
 
 import csv
+import os
 import time
 from dataclasses import dataclass
 
@@ -61,16 +62,18 @@ _MODEL_ID = {name: i + 1 for i, name in enumerate(MODELS)}
 
 _MASK64 = (1 << 64) - 1
 
-# state rows an MNIST trial harvests at a time: blocks of ceil(4096 / 28) =
-# 147 images, so no trial holds its whole state matrix; smaller blocks
-# make more, smaller matrix products (50-image blocks measured about 6%
-# slower per n = 500 trial at one BLAS thread)
-STATE_BLOCK_ROWS = 4096
-# state rows of one chunk of a block: max(1, 600 // 147) = 4 steps, a
-# 2.35 MB buffer at n = 500 in place of the block's 16.5 MB.  On the
-# mnist-synth workload (2-vCPU VM, one BLAS thread) it took the median
-# peak RSS of 10 runs from 77.0 to 65.7 MB; single runs at 1,200 and 300
-# rows peaked at 68.3 and 65.7 MB
+# state rows an MNIST trial harvests at a time: blocks of ceil(8232 / 28) =
+# 294 images, so no trial holds its whole state matrix.  Each recurrent
+# step is one 294-row gemm: against 147-image blocks and chunks of the same
+# 588 rows, this and _drive's zero-start skip took the median mnist-synth
+# op (n = 500, one BLAS thread, 2-vCPU VM) from 1.005 to 0.881 s and its
+# peak RSS from 65.7 to 68.3 MB (10 runs each)
+STATE_BLOCK_ROWS = 8232
+# state rows of one chunk: max(1, 600 // 294) = 2 steps of a full block, a
+# 588 x n buffer (2.35 MB at n = 500) in place of the block's 32.9 MB; a
+# smaller last block takes as many steps as fit in those 588 rows.  Chunks
+# of 4 steps (1,176 rows) took the median op to 0.85 s but the peak RSS to
+# 73.3 MB (3 runs), 12% over 147-image blocks
 CHUNK_ROWS = 600
 
 
@@ -208,10 +211,11 @@ def _mnist_chunks(esn, mnist: MnistData, indices: np.ndarray):
     t0 + j, and ``onehot`` holds the block's targets.
     """
     size = -(-STATE_BLOCK_ROWS // mnist.images.shape[2])
+    # a full block's chunk, which no chunk outgrows
+    rows = max(1, CHUNK_ROWS // size) * size
     for i0 in range(0, len(indices), size):
         inputs, onehot = mnist_sequences(mnist, indices[i0:i0 + size])
-        steps = max(1, CHUNK_ROWS // len(inputs))
-        for t0, chunk in harvest_chunks(esn, inputs, steps):
+        for t0, chunk in harvest_chunks(esn, inputs, rows // len(inputs)):
             yield i0, t0, chunk, onehot
 
 
@@ -351,7 +355,9 @@ def run_experiment(grid, repeats: int, base_seed: int, jobs: int = 1,
         for t in range(repeats)
     ]
     runner = lambda s: run_trial(s, overrides=overrides, mnist=mnist)
-    if jobs <= 1:
+    # more workers than trials or CPUs would only idle or contend
+    workers = min(jobs, len(specs), os.cpu_count() or 1)
+    if workers <= 1:
         return [runner(s) for s in specs]
     # imported here: concurrent.futures imports logging, which only a
     # parallel run needs
@@ -359,7 +365,7 @@ def run_experiment(grid, repeats: int, base_seed: int, jobs: int = 1,
 
     # pool.map preserves submission order, so the output ordering is
     # identical to the sequential run regardless of worker count
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(runner, specs))
 
 

@@ -160,6 +160,9 @@ def cmd_bench(args) -> int:
         flag = flag.strip()
         if flag not in MODEL_FLAG_TO_NAME:
             raise UsageError(f"unknown model {flag!r}")
+        if MODEL_FLAG_TO_NAME[flag] in models:
+            # a repeated model would run each trial twice and count both
+            raise UsageError(f"model {flag!r} given twice")
         models.append(MODEL_FLAG_TO_NAME[flag])
     mnist = _load_mnist_if_needed(args, task)
     grid = [(task, m, args.n, args.n_train, args.n_test) for m in models]

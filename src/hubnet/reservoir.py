@@ -205,8 +205,12 @@ def _drive(esn: Esn, u: np.ndarray, s: np.ndarray, out: np.ndarray,
     blocks = [(esn.w_rec[rows].T, rec[:, rows]) for rows in _row_blocks(esn.n, len(s))]
     # odd steps run the blocks backwards: the block read last comes first
     orders = blocks, blocks[::-1]
-    prev = s
-    for t in range(len(out)):
+    prev, first = s, 0
+    if len(out) and not s.any():
+        # from the zero state the recurrent term is zero: step 0 is the
+        # drive's tanh, the same values (only a zero's sign can differ)
+        prev, first = np.tanh(out[0], out=out[0]), 1
+    for t in range(first, len(out)):
         for w_t, part in orders[t % 2]:
             np.matmul(prev, w_t, out=part)
         prev = out[t]

@@ -151,6 +151,44 @@ def test_run_experiment_parallel_equals_sequential():
         run_experiment(grid, repeats=0, base_seed=0)
 
 
+class RecordingPool:
+    """A ``ThreadPoolExecutor`` stand-in that records its size and starts no thread."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("jobs, cpus, workers", [
+    (100_000, 64, 6),  # no more workers than trials
+    (100_000, 4, 4),  # no more workers than CPUs
+    (3, 64, 3),  # no more workers than --jobs
+    (100_000, None, None),  # an unknown CPU count runs the trials in turn
+    (100_000, 1, None),
+])
+def test_run_experiment_caps_its_worker_pool(monkeypatch, jobs, cpus, workers):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(bench.os, "cpu_count", lambda: cpus)
+    grid = [("narma10", m, 20, 30, 10) for m in ("esn", "hubesn")]
+    results = run_experiment(grid, repeats=3, base_seed=5, jobs=jobs)
+    assert RecordingPool.sizes == ([] if workers is None else [workers])
+    seq = run_experiment(grid, repeats=3, base_seed=5, jobs=1)
+    assert [(r.spec, r.score) for r in results] == [(r.spec, r.score) for r in seq]
+
+
 def test_aggregate_ratios():
     def make(model, scores):
         return [TrialResult(spec=spec(model, trial=i), score=s,
@@ -266,11 +304,31 @@ def whole_train_states(s, data, bundle):
     return reservoir.harvest(bundle["esn"], train_in), onehot
 
 
-# 200 images make blocks of 147 and 53 images, 4 steps a chunk: washout 5
-# ends inside the second chunk of every image, 27 leaves each image's last step
+# 200 images make one block of 294 images, 2 steps a chunk, or two blocks
+# of 147 and 53 images, 4 and 11 steps a chunk, at 4096-row blocks: washout
+# 5 ends inside a chunk of every image, 27 leaves each image's last step
 @pytest.mark.parametrize("washout", [0, 5, 27])
 def test_streamed_mnist_readout_matches_fit_on_whole_states(monkeypatch, washout,
                                                              near_lstsq):
+    assert_streamed_mnist_readout_matches_fit_on_whole_states(monkeypatch, washout,
+                                                              near_lstsq, [200, 30])
+
+
+@pytest.mark.parametrize("washout", [0, 5, 27])
+def test_streamed_mnist_readout_over_two_blocks_matches_fit_on_whole_states(
+        monkeypatch, washout, near_lstsq):
+    monkeypatch.setattr(bench, "STATE_BLOCK_ROWS", 4096)
+    assert_streamed_mnist_readout_matches_fit_on_whole_states(monkeypatch, washout,
+                                                              near_lstsq, [147, 53, 30])
+
+
+def assert_streamed_mnist_readout_matches_fit_on_whole_states(monkeypatch, washout,
+                                                              near_lstsq, blocks):
+    """The streamed fit of 200 train images against a fit on their whole S.
+
+    ``blocks`` lists the image counts of the train then the test blocks,
+    whose chunks are at most a full block's 588 rows.
+    """
     data = synthetic_mnist(230)
     # the esn model: this hubesn reservoir has a neuron no input reaches, and
     # its singular S^T S would send the streamed fit to the QR pass
@@ -280,9 +338,20 @@ def test_streamed_mnist_readout_matches_fit_on_whole_states(monkeypatch, washout
     def no_lstsq(*args, **kwargs):
         raise AssertionError("the streamed fit must come from the chunked Gram sums")
 
+    batches, harvest_chunks = [], bench.harvest_chunks
+
+    def recording(esn, inputs, steps):
+        batches.append(len(inputs))
+        # both block sizes make 588-row chunks of a full block, and no
+        # smaller block makes a larger chunk
+        assert len(inputs) * steps <= 588
+        return harvest_chunks(esn, inputs, steps)
+
     with monkeypatch.context() as m:
         m.setattr(np.linalg, "lstsq", no_lstsq)
+        m.setattr(bench, "harvest_chunks", recording)
         streamed = readout_analysis(s, overrides, mnist=data)
+    assert batches == blocks
     batch, onehot = whole_train_states(s, data, streamed)
     # every image drops its own first washout steps
     states = batch[:, washout:].reshape(-1, s.n)
@@ -375,14 +444,14 @@ def test_mnist_trial_never_holds_one_state_block():
     s = spec("hubesn", task="mnist", n=250, n_train=300, n_test=150)
     readout_analysis(spec("hubesn", task="mnist", n=10, n_train=5, n_test=5),
                      mnist=data)  # first-call allocations
-    block_bytes = 147 * 28 * s.n * 8  # 8.2 MB, the states of one 147-image block
+    block_bytes = 147 * 28 * s.n * 8  # 8.2 MB, the states of half a 294-image block
     tracemalloc.start()
     try:
         readout_analysis(s, mnist=data)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # 6.1 MB: generation's 6 n**2 floats (3.0 MB), then S^T S, the 4-step
+    # 6.4 MB: generation's 6 n**2 floats (3.0 MB), then S^T S, the 2-step
     # state buffer and a block of column-scanned images
     assert peak < block_bytes
 

@@ -208,6 +208,17 @@ def test_unknown_model_exits_2(tmp_path, capsys):
     assert "unknown model" in capsys.readouterr().err
 
 
+def test_duplicate_model_exits_2(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    code = run(["bench", "--task", "mackey-glass", "--models", "esn,hubesn,esn",
+                "--n", "20", "--n-train", "30", "--n-test", "10",
+                "--repeats", "2", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: model 'esn' given twice\n"
+    assert not out.exists()
+
+
 def test_mnist_without_files_exits_2(tmp_path, capsys):
     code = run(["bench", "--task", "mnist", "--n", "20", "--n-train", "4",
                 "--n-test", "2", "--repeats", "1",

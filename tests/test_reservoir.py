@@ -258,8 +258,9 @@ def dense_esn(n, input_dim, seed):
                input_mask=np.ones(n, dtype=bool), network=net, config=cfg)
 
 
-# around the 64-row block edges, and n = 700, past OpenBLAS's threaded dgemv
-@pytest.mark.parametrize("batch", [1, 3, 147])
+# around the 64-row block edges, and n = 700, past OpenBLAS's threaded dgemv;
+# batch 294 is an MNIST block of 294 images
+@pytest.mark.parametrize("batch", [1, 3, 147, 294])
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 129, 200, 333, 500, 700])
 def test_harvest_keeps_the_bits_of_the_per_step_recurrence(n, batch):
     t_len = 12
@@ -268,7 +269,8 @@ def test_harvest_keeps_the_bits_of_the_per_step_recurrence(n, batch):
         rng = np.random.default_rng(n * batch + d)
         u = rng.uniform(-1.0, 1.0, size=(batch, t_len, d))
         inputs = u[0] if batch == 1 else u
-        for s0 in (None, rng.uniform(-0.5, 0.5, size=n)):
+        # a zero start, given or not, skips the first recurrent product
+        for s0 in (None, np.zeros(n), rng.uniform(-0.5, 0.5, size=n)):
             expected = reference_harvest(esn, inputs, s0)
             assert np.array_equal(harvest(esn, inputs, s0=s0), expected)
             for steps in (1, 7, t_len):
