@@ -22,7 +22,7 @@ from .reservoir import (
     EsnConfig,
     fit_readout,
     harvest,
-    harvest_chunks,
+    harvest_steps,
     init_esn,
     normalized_readout_weights,
     pearson,
@@ -62,19 +62,15 @@ _MODEL_ID = {name: i + 1 for i, name in enumerate(MODELS)}
 
 _MASK64 = (1 << 64) - 1
 
-# state rows an MNIST trial harvests at a time: blocks of ceil(8232 / 28) =
-# 294 images, so no trial holds its whole state matrix.  Each recurrent
-# step is one 294-row gemm: against 147-image blocks and chunks of the same
-# 588 rows, this and _drive's zero-start skip took the median mnist-synth
-# op (n = 500, one BLAS thread, 2-vCPU VM) from 1.005 to 0.881 s and its
-# peak RSS from 65.7 to 68.3 MB (10 runs each)
-STATE_BLOCK_ROWS = 8232
-# state rows of one chunk: max(1, 600 // 294) = 2 steps of a full block, a
-# 588 x n buffer (2.35 MB at n = 500) in place of the block's 32.9 MB; a
-# smaller last block takes as many steps as fit in those 588 rows.  Chunks
-# of 4 steps (1,176 rows) took the median op to 0.85 s but the peak RSS to
-# 73.3 MB (3 runs), 12% over 147-image blocks
-CHUNK_ROWS = 600
+# images an MNIST trial runs through the reservoir at a time, in lockstep,
+# so no trial holds its whole state matrix.  Each recurrent step is one
+# 294-row gemm: against 147-image blocks, this and _drive's zero-start skip
+# took the median mnist-synth op (n = 500, one BLAS thread, 2-vCPU VM) from
+# 1.005 to 0.881 s, with the states summed two steps at a time (10 runs
+# each); summed one step at a time they take 0.975 s against 0.857 s.
+# Blocks of 588 images raised the traced peak of a 1,000-image n = 60 trial
+# from 5.8 to 9.3 MB
+BLOCK_IMAGES = 294
 
 
 def _splitmix64(x: int) -> int:
@@ -201,46 +197,43 @@ def _time_series_split(spec: TrialSpec):
             ds.targets[spec.n_train: spec.n_train + spec.n_test])
 
 
-def _mnist_chunks(esn, mnist: MnistData, indices: np.ndarray):
-    """States of the images ``indices`` names, in time-major chunks.
+def _mnist_steps(esn, mnist: MnistData, indices: np.ndarray):
+    """States of the images ``indices`` names, one column step at a time.
 
-    The images run through the reservoir a block at a time, in lockstep,
-    and each block's states come in chunks of ``harvest_chunks``'s one
-    reused buffer.  Yields ``(i0, t0, chunk, onehot)``: ``chunk[j, b]`` is
-    the state of block image b, image i0 + b of ``indices``, after column
-    t0 + j, and ``onehot`` holds the block's targets.
+    The images run through the reservoir ``BLOCK_IMAGES`` at a time, in
+    lockstep.  Yields ``(i0, t, states, onehot)``: ``states[b]`` is the
+    state of block image b, image i0 + b of ``indices``, after column t, a
+    view of ``harvest_steps``'s reused buffer, and ``onehot`` holds the
+    block's targets.
     """
-    size = -(-STATE_BLOCK_ROWS // mnist.images.shape[2])
-    # a full block's chunk, which no chunk outgrows
-    rows = max(1, CHUNK_ROWS // size) * size
-    for i0 in range(0, len(indices), size):
-        inputs, onehot = mnist_sequences(mnist, indices[i0:i0 + size])
-        for t0, chunk in harvest_chunks(esn, inputs, rows // len(inputs)):
-            yield i0, t0, chunk, onehot
+    for i0 in range(0, len(indices), BLOCK_IMAGES):
+        inputs, onehot = mnist_sequences(mnist, indices[i0:i0 + BLOCK_IMAGES])
+        for t, states in enumerate(harvest_steps(esn, inputs)):
+            yield i0, t, states, onehot
 
 
-def _train_rows(chunks, washout: int, col_abs: np.ndarray):
-    """(S, Y) row blocks for ``stream_readout``, one per chunk.
+def _train_rows(steps, washout: int, col_abs: np.ndarray):
+    """(S, Y) row blocks for ``stream_readout``, one per column step of a block.
 
     Every image drops its first ``washout`` steps from the fit, as each
     starts from the zero state, but not from ``col_abs``, which each
-    chunk's column sums of |S| are added to once the fit has summed it.
+    step's column sums of |S| are added to once the fit has summed it.
     """
-    for _, t0, chunk, onehot in chunks:
-        kept = chunk[max(washout - t0, 0):]
-        yield kept.reshape(-1, chunk.shape[2]), np.tile(onehot, (len(kept), 1))
-        # |S| overwrites the chunk, which the fit no longer needs
-        states = chunk.reshape(-1, chunk.shape[2])
+    for _, t, states, onehot in steps:
+        if t >= washout:
+            yield states, onehot
+        # |S| overwrites the states, which the fit no longer needs
         col_abs += np.abs(states, out=states).sum(axis=0)
 
 
 def _mnist_readout(esn, mnist: MnistData, train_idx: np.ndarray):
     """MNIST readout and column sums of |S|, without holding the state matrix S.
 
-    S holds image-major rows: image i's column states after its first
-    ``washout`` columns, then image i + 1's.  ``stream_readout`` fits it
-    one chunk at a time; each pass it makes over the chunks harvests the
-    training images again and sums ``col_abs`` afresh, to the same bits.
+    S holds the kept column states of each block of images, step-major:
+    column t of every block image, then column t + 1, each image's first
+    ``washout`` columns left out.  ``stream_readout`` fits it one step of
+    a block at a time; each pass it makes harvests the training images
+    again and sums ``col_abs`` afresh, to the same bits.
     """
     washout = esn.config.washout
     if washout >= mnist.images.shape[2]:
@@ -249,7 +242,7 @@ def _mnist_readout(esn, mnist: MnistData, train_idx: np.ndarray):
 
     def blocks():
         col_abs[:] = 0.0
-        return _train_rows(_mnist_chunks(esn, mnist, train_idx), washout, col_abs)
+        return _train_rows(_mnist_steps(esn, mnist, train_idx), washout, col_abs)
 
     return stream_readout(blocks, (esn.n, 10)), col_abs
 
@@ -258,9 +251,8 @@ def _mnist_step_scores(esn, mnist: MnistData, test_idx: np.ndarray,
                        w_out: np.ndarray) -> np.ndarray:
     """Readout scores of every test image and column, (k, 28, 10)."""
     step_scores = np.empty((len(test_idx), mnist.images.shape[2], w_out.shape[1]))
-    for i0, t0, chunk, _ in _mnist_chunks(esn, mnist, test_idx):
-        steps, batch, _ = chunk.shape
-        step_scores[i0:i0 + batch, t0:t0 + steps] = (chunk @ w_out).transpose(1, 0, 2)
+    for i0, t, states, _ in _mnist_steps(esn, mnist, test_idx):
+        step_scores[i0:i0 + len(states), t] = states @ w_out
     return step_scores
 
 

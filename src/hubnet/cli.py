@@ -213,6 +213,9 @@ def cmd_plot(args) -> int:
         if missing:
             raise RuntimeError(f"aggregate CSV lacks columns {sorted(missing)}")
         for row in reader:
+            if None in row.values():
+                raise RuntimeError(f"aggregate CSV line {reader.line_num} "
+                                   "has fewer fields than its header")
             mean = float(row["mean"])
             if not math.isfinite(mean):
                 raise RuntimeError(f"non-finite mean for model {row['model']!r}")

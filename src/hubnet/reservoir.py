@@ -25,7 +25,7 @@ __all__ = [
     "scale_spectral_radius",
     "init_esn",
     "harvest",
-    "harvest_chunks",
+    "harvest_steps",
     "stream_readout",
     "fit_readout",
     "normalized_readout_weights",
@@ -198,7 +198,7 @@ def _drive(esn: Esn, u: np.ndarray, s: np.ndarray, out: np.ndarray,
     Starts from the state ``s`` and leaves the last state there; ``s`` and
     ``rec``, (B, n) scratch for the recurrent term, share no memory with
     ``out``.  The callers allocate both once per call: allocated once per
-    chunk, they raised the ``mnist-synth`` peak RSS by 0.7 MB.
+    chunk of steps, they raised the ``mnist-synth`` peak RSS by 0.7 MB.
     """
     # every step's input drive, written where its state will be
     np.matmul(u.transpose(1, 0, 2), esn.w_in.T, out=out)
@@ -234,43 +234,29 @@ def harvest(esn: Esn, inputs: np.ndarray, s0: np.ndarray | None = None) -> np.nd
     return states if ndim == 3 else states[0]
 
 
-def harvest_chunks(esn: Esn, inputs: np.ndarray, steps: int,
-                   s0: np.ndarray | None = None):
-    """``harvest``, ``steps`` time steps at a time, in one reused buffer.
+def harvest_steps(esn: Esn, inputs: np.ndarray, s0: np.ndarray | None = None):
+    """``harvest``, one time step at a time, in one reused buffer.
 
-    Takes the inputs and ``s0`` that ``harvest`` takes and yields
-    ``(t0, chunk)`` pairs: ``chunk[j]`` holds the (B, n) states after input
-    row t0 + j, the same bits as ``harvest(...)[..., t0 + j, :]``, with
-    B = 1 for a single sequence.  Every chunk is a view of one
-    (steps, B, n) buffer, which the next chunk overwrites; the recurrence
-    carries its own copy of the last state, so a consumer may overwrite a
-    chunk in place.
+    Takes the inputs and ``s0`` that ``harvest`` takes and yields, for each
+    input row t in turn, the (B, n) states after it: the same bits as
+    ``harvest(...)[..., t, :]``, with B = 1 for a single sequence.  Every
+    yield is a view of one (B, n) buffer, which the next step overwrites;
+    the recurrence carries its own copy of the last state, so a consumer
+    may overwrite the states in place.
     """
-    check_int("steps", steps, 1)
     u, s, _ = _checked_inputs(esn, inputs, s0)
-    t_len = u.shape[1]
-    buf, rec = np.empty((min(steps, t_len), u.shape[0], esn.n)), np.empty_like(s)
-    for t0 in range(0, t_len, steps):
-        chunk = buf[:t_len - t0]
-        _drive(esn, u[:, t0:t0 + len(chunk)], s, chunk, rec)
-        yield t0, chunk
+    buf, rec = np.empty((1, u.shape[0], esn.n)), np.empty_like(s)
+    for t in range(u.shape[1]):
+        _drive(esn, u[:, t:t + 1], s, buf, rec)
+        yield buf[0]
 
 
 def _gram_solve(gram: np.ndarray, sty: np.ndarray) -> np.ndarray | None:
     """Solve gram @ w = sty when eigvalsh proves gram well conditioned, else None.
 
     ``gram`` is S^T S and ``sty`` is S^T Y for a state matrix S with at
-    least as many rows as columns.  Cholesky either fails or gives pivots
-    whose squared-diagonal ratio is an upper bound on lambda_min /
-    lambda_max, so it can reject cheaply but never accept; only the
-    eigenvalues accept.
+    least as many rows as columns.
     """
-    try:
-        pivots = np.diag(np.linalg.cholesky(gram)) ** 2
-    except np.linalg.LinAlgError:
-        return None
-    if pivots.min() <= GRAM_EIG_RATIO * pivots.max():
-        return None
     lam = np.linalg.eigvalsh(gram)
     if lam[0] <= GRAM_EIG_RATIO * lam[-1]:
         return None
@@ -287,8 +273,9 @@ def stream_readout(blocks, shape: tuple[int, int]) -> np.ndarray:
     generator of blocks keeps one block alive.
 
     A first pass sums S^T S and S^T Y.  With at least as many rows as
-    columns and lambda_min > 1e-10 * lambda_max (cond(S) < 1e5), it solves
-    the normal equations: ``fit_readout``'s rcond cutoff of 1e-10 * sigma_max
+    columns and, by ``eigvalsh``, lambda_min > 1e-10 * lambda_max
+    (cond(S) < 1e5), it solves the normal equations with ``solve``:
+    ``fit_readout``'s rcond cutoff of 1e-10 * sigma_max
     then cuts no singular value, so both give one solution up to rounding
     (about cond(S^T S) * eps, below 3e-6 relative).  Any other S, one with
     a non-finite entry included, takes a second pass that reduces [S | Y]

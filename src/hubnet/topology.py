@@ -320,15 +320,23 @@ def network_from_dict(doc: dict) -> Network:
         raise HubnetError(f"network JSON must have exactly the keys {list(NETWORK_KEYS)}, got {got}")
     try:
         cfg = TopologyConfig(**doc["config"])
-        n, edges, coords = int(doc["n"]), doc["edges"], doc["coords"]
     except TypeError as exc:
         raise HubnetError(f"malformed network JSON config: {exc}") from None
+    n = doc["n"]
+    check_int("n", n)
     if n != cfg.n:
         raise HubnetError(f"network JSON has n = {n} but config.n = {cfg.n}")
-    coords = np.asarray(coords, dtype=float).reshape(-1, 3)
-    if coords.shape[0] != n:
-        raise HubnetError(f"network JSON has {coords.shape[0]} coords rows for n = {n}")
-    weights = edges_to_dense(edges, (n, n))
+    try:
+        coords = np.asarray(doc["coords"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise HubnetError("network JSON coords must be numbers") from exc
+    if coords.size == 0:
+        coords = coords.reshape(0, 3)
+    # a JSON null reads as NaN
+    if coords.shape != (n, 3) or not np.isfinite(coords).all():
+        raise HubnetError(f"network JSON coords must be {n} finite [x, y, z] rows, "
+                          f"got shape {coords.shape}")
+    weights = edges_to_dense(doc["edges"], (n, n))
     return Network(weights=weights, coords=coords, config=cfg)
 
 

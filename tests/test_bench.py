@@ -304,9 +304,8 @@ def whole_train_states(s, data, bundle):
     return reservoir.harvest(bundle["esn"], train_in), onehot
 
 
-# 200 images make one block of 294 images, 2 steps a chunk, or two blocks
-# of 147 and 53 images, 4 and 11 steps a chunk, at 4096-row blocks: washout
-# 5 ends inside a chunk of every image, 27 leaves each image's last step
+# 200 images make one block of 294 images, or two blocks of 147 and 53
+# images at 147-image blocks; washout 27 leaves each image's last step
 @pytest.mark.parametrize("washout", [0, 5, 27])
 def test_streamed_mnist_readout_matches_fit_on_whole_states(monkeypatch, washout,
                                                              near_lstsq):
@@ -317,7 +316,7 @@ def test_streamed_mnist_readout_matches_fit_on_whole_states(monkeypatch, washout
 @pytest.mark.parametrize("washout", [0, 5, 27])
 def test_streamed_mnist_readout_over_two_blocks_matches_fit_on_whole_states(
         monkeypatch, washout, near_lstsq):
-    monkeypatch.setattr(bench, "STATE_BLOCK_ROWS", 4096)
+    monkeypatch.setattr(bench, "BLOCK_IMAGES", 147)
     assert_streamed_mnist_readout_matches_fit_on_whole_states(monkeypatch, washout,
                                                               near_lstsq, [147, 53, 30])
 
@@ -326,8 +325,7 @@ def assert_streamed_mnist_readout_matches_fit_on_whole_states(monkeypatch, washo
                                                               near_lstsq, blocks):
     """The streamed fit of 200 train images against a fit on their whole S.
 
-    ``blocks`` lists the image counts of the train then the test blocks,
-    whose chunks are at most a full block's 588 rows.
+    ``blocks`` lists the image counts of the train then the test blocks.
     """
     data = synthetic_mnist(230)
     # the esn model: this hubesn reservoir has a neuron no input reaches, and
@@ -336,20 +334,17 @@ def assert_streamed_mnist_readout_matches_fit_on_whole_states(monkeypatch, washo
     overrides = {"washout": washout}
 
     def no_lstsq(*args, **kwargs):
-        raise AssertionError("the streamed fit must come from the chunked Gram sums")
+        raise AssertionError("the streamed fit must come from the per-step Gram sums")
 
-    batches, harvest_chunks = [], bench.harvest_chunks
+    batches, harvest_steps = [], bench.harvest_steps
 
-    def recording(esn, inputs, steps):
+    def recording(esn, inputs):
         batches.append(len(inputs))
-        # both block sizes make 588-row chunks of a full block, and no
-        # smaller block makes a larger chunk
-        assert len(inputs) * steps <= 588
-        return harvest_chunks(esn, inputs, steps)
+        return harvest_steps(esn, inputs)
 
     with monkeypatch.context() as m:
         m.setattr(np.linalg, "lstsq", no_lstsq)
-        m.setattr(bench, "harvest_chunks", recording)
+        m.setattr(bench, "harvest_steps", recording)
         streamed = readout_analysis(s, overrides, mnist=data)
     assert batches == blocks
     batch, onehot = whole_train_states(s, data, streamed)
@@ -368,11 +363,11 @@ def assert_streamed_mnist_readout_matches_fit_on_whole_states(monkeypatch, washo
     step_scores = reservoir.harvest(streamed["esn"], test_in) @ w_ref
     assert streamed["score"] == majority_vote_accuracy(step_scores, data.labels[test_idx])
 
-    # a rejected gate reduces the chunks to R, and the same column sums
+    # a rejected gate reduces the steps to R, and the same column sums
     reject_gram_solves(monkeypatch)
     rejected = readout_analysis(s, overrides, mnist=data)
     near_lstsq(rejected["w_out"], states, targets)
-    # the second pass over the chunks sums col_abs afresh, not on top
+    # the second pass over the steps sums col_abs afresh, not on top
     w_norm_ref = reservoir.normalized_readout_weights(rejected["w_out"], col_abs)
     assert np.allclose(rejected["w_norm"], w_norm_ref, rtol=1e-8, atol=0.0)
 
@@ -381,21 +376,21 @@ def test_mnist_washout_of_a_whole_image_leaves_no_rows(monkeypatch):
     def no_harvest(*args, **kwargs):
         raise AssertionError("the washout must be refused before any harvest")
 
-    monkeypatch.setattr(bench, "harvest_chunks", no_harvest)
+    monkeypatch.setattr(bench, "harvest_steps", no_harvest)
     s = spec("hubesn", task="mnist", n=30, n_train=20, n_test=5)
     with pytest.raises(HubnetError, match="washout leaves no rows to fit"):
         readout_analysis(s, {"washout": 28}, mnist=synthetic_mnist(25))
 
 
 def test_streamed_mnist_readout_rejects_non_finite_states(monkeypatch):
-    harvest_chunks = reservoir.harvest_chunks
+    harvest_steps = reservoir.harvest_steps
 
-    def poisoned(esn, inputs, steps, s0=None):
-        for t0, chunk in harvest_chunks(esn, inputs, steps, s0):
-            chunk[-1, -1, 0] = np.nan
-            yield t0, chunk
+    def poisoned(esn, inputs, s0=None):
+        for states in harvest_steps(esn, inputs, s0):
+            states[-1, 0] = np.nan
+            yield states
 
-    monkeypatch.setattr(bench, "harvest_chunks", poisoned)
+    monkeypatch.setattr(bench, "harvest_steps", poisoned)
     s = spec("hubesn", task="mnist", n=30, n_train=20, n_test=5)
     with pytest.raises(HubnetError, match="readout states and targets must be finite"):
         readout_analysis(s, mnist=synthetic_mnist(25))
@@ -451,34 +446,33 @@ def test_mnist_trial_never_holds_one_state_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # 6.4 MB: generation's 6 n**2 floats (3.0 MB), then S^T S, the 2-step
+    # 5.7 MB: generation's 6 n**2 floats (3.0 MB), then S^T S, the one-step
     # state buffer and a block of column-scanned images
     assert peak < block_bytes
 
 
-def fake_chunks(count, block, steps, t_len=28):
-    """``bench._mnist_chunks``'s layout, each state holding its row of S."""
+def fake_steps(count, block, t_len=28):
+    """``bench._mnist_steps``'s layout, each state holding its row of image-major S."""
     for i0 in range(0, count, block):
         batch = min(block, count - i0)
         onehot = np.zeros((batch, 10))
         onehot[:, 0] = i0 + np.arange(batch)
-        for t0 in range(0, t_len, steps):
-            k = min(steps, t_len - t0)
-            rows = (i0 + np.arange(batch)) * t_len + (t0 + np.arange(k))[:, None]
-            yield i0, t0, rows[:, :, None].astype(float), onehot
+        for t in range(t_len):
+            rows = (i0 + np.arange(batch)) * t_len + t
+            yield i0, t, rows[:, None].astype(float), onehot
 
 
-# chunk edges at steps 4, 8, ..., 24; any washout from 28 on keeps no row,
-# however far past 28 it is
+# any washout from 28 on keeps no row, however far past 28 it is
 @pytest.mark.parametrize("washout", [0, 1, 3, 4, 5, 27, 28, 29, 30, 200, 4116, 4125,
                                      5599, 5600])
 def test_train_rows_drop_the_first_washout_rows_of_image_major_states(washout):
-    # 200 images in blocks of 147 and 53, 4 steps a chunk; row r of the
-    # image-major S is image r // 28 after column r % 28, and every image
-    # drops its own first washout columns
+    # 200 images in blocks of 147 and 53; row r of the image-major S is
+    # image r // 28 after column r % 28, and every image drops its own
+    # first washout columns
     col_abs = np.zeros(1)
-    kept, images = [], []
-    for states, targets in bench._train_rows(fake_chunks(200, 147, 4), washout, col_abs):
+    # a washout from 28 on yields no block at all
+    kept, images = [np.empty(0)], [np.empty(0)]
+    for states, targets in bench._train_rows(fake_steps(200, 147), washout, col_abs):
         kept.append(states[:, 0])
         images.append(targets[:, 0])
     kept, images = np.concatenate(kept), np.concatenate(images)

@@ -137,8 +137,13 @@ def test_malformed_network_json_exits_1(tmp_path, capsys, edge):
     lambda doc: doc.update(bogus=1),  # unknown top-level key
     lambda doc: doc.update(n=21),  # n disagrees with config.n
     lambda doc: doc["coords"].pop(),  # one coords row short of n
+    # 30 [x, y] pairs hold as many numbers as 20 triples
+    lambda doc: doc.update(coords=[[0.5, 0.5]] * 30),
+    lambda doc: doc.update(coords=[[None, 0.0, 0.0]] * 20),  # null coordinates
+    lambda doc: doc.update(coords=[[{}, 0.0, 0.0]] * 20),  # coordinates that are no number
+    lambda doc: doc.update(n=20.7),  # a non-integer n
 ], ids=["unknown-key", "missing-config-key", "missing-key", "extra-key", "n-mismatch",
-        "coords-short"])
+        "coords-short", "coords-pairs", "coords-null", "coords-object", "n-float"])
 def test_malformed_network_config_exits_1(tmp_path, capsys, corrupt):
     net_path = tmp_path / "net.json"
     run(["gen", "--n", "20", "--seed", "1", "--out", str(net_path)])
@@ -266,10 +271,16 @@ def test_bench_small_run_and_plot(tmp_path):
     assert len(root.findall("{http://www.w3.org/2000/svg}polyline")) == 2
 
 
-def test_plot_empty_csv_exits_1(tmp_path, capsys):
-    empty = tmp_path / "empty.csv"
-    empty.write_text("task,model,n,n_train,mean,sd,count\n")
-    assert run(["plot", "--in", str(empty), "--out", str(tmp_path / "p.svg")]) == 1
+@pytest.mark.parametrize("text", [
+    "task,model,n,n_train,mean,sd,count\n",  # no rows
+    "model,n_train,mean\nesn,100\n",  # a row short of the header
+], ids=["no-rows", "short-row"])
+def test_plot_empty_csv_exits_1(tmp_path, capsys, text):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    assert run(["plot", "--in", str(bad), "--out", str(tmp_path / "p.svg")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_analyze_readout(tmp_path, capsys):

@@ -10,7 +10,7 @@ from hubnet.reservoir import (
     _row_blocks,
     fit_readout,
     harvest,
-    harvest_chunks,
+    harvest_steps,
     init_esn,
     normalized_readout_weights,
     pearson,
@@ -63,7 +63,6 @@ def test_configs_reject_non_finite_floats(config, field, value):
     (lambda: TopologyConfig(n=7.5), "n"),
     (lambda: EsnConfig(n=10, washout=1.5), "washout"),
     (lambda: fit_readout(np.ones((6, 2)), np.ones(6), washout=1.5), "washout"),
-    (lambda: next(harvest_chunks(small_esn(), np.ones(5), 2.5)), "steps"),
     (lambda: MackeyGlassConfig(length=10.5), "length"),
     (lambda: MackeyGlassConfig(tau=17.0), "tau"),
     (lambda: MackeyGlassConfig(transient=0.5), "transient"),
@@ -176,11 +175,9 @@ def test_harvest_batch_equals_separate_sequences(with_s0):
         harvest(esn, u[None])
 
 
-def stacked_chunks(esn, inputs, steps, s0=None):
-    """The chunks of ``harvest_chunks``, copied and stacked time-major."""
-    chunks = [(t0, chunk.copy()) for t0, chunk in harvest_chunks(esn, inputs, steps, s0)]
-    assert [t0 for t0, _ in chunks] == list(range(0, len(chunks) * steps, steps))
-    return np.concatenate([chunk for _, chunk in chunks])
+def stacked_steps(esn, inputs, s0=None):
+    """The states of ``harvest_steps``, copied and stacked time-major."""
+    return np.stack([states.copy() for states in harvest_steps(esn, inputs, s0)])
 
 
 @pytest.mark.parametrize("batch", [1, 3, 147])
@@ -191,30 +188,25 @@ def test_harvest_chunks_equal_harvest(batch, t_len):
     u = rng.uniform(0.0, 1.0, size=(batch, t_len, 28))
     s0 = rng.uniform(-0.5, 0.5, size=esn.n)
     for given in (None, s0):
-        whole = harvest(esn, u, s0=given)
-        # 4 and 7 leave a shorter last chunk of 28 or 30 steps; 40 is one chunk
-        for steps in (1, 4, 7, 40):
-            chunks = stacked_chunks(esn, u, steps, given)
-            assert np.array_equal(chunks.transpose(1, 0, 2), whole)
+        steps = stacked_steps(esn, u, given)
+        assert np.array_equal(steps.transpose(1, 0, 2), harvest(esn, u, s0=given))
 
 
 def test_harvest_chunks_of_one_sequence_and_their_checks():
     esn = small_esn()
     u = np.random.default_rng(5).normal(size=(11, 1))
-    assert np.array_equal(stacked_chunks(esn, u, 3)[:, 0], harvest(esn, u))
-    assert np.array_equal(stacked_chunks(esn, u[:, 0], 5)[:, 0], harvest(esn, u))
-    assert list(harvest_chunks(esn, u[:0], 3)) == []
-    with pytest.raises(HubnetError, match="steps must be >= 1"):
-        next(harvest_chunks(esn, u, 0))
+    assert np.array_equal(stacked_steps(esn, u)[:, 0], harvest(esn, u))
+    assert np.array_equal(stacked_steps(esn, u[:, 0])[:, 0], harvest(esn, u))
+    assert list(harvest_steps(esn, u[:0])) == []
     # the checks are harvest's
     with pytest.raises(HubnetError, match="inputs have shape"):
-        next(harvest_chunks(esn, np.ones((5, 3)), 2))
+        next(harvest_steps(esn, np.ones((5, 3))))
     with pytest.raises(HubnetError, match="reservoir inputs must be finite"):
-        next(harvest_chunks(esn, np.full((5, 1), np.nan), 2))
+        next(harvest_steps(esn, np.full((5, 1), np.nan)))
     with pytest.raises(HubnetError, match="s0 has shape"):
-        next(harvest_chunks(esn, u, 2, s0=np.zeros(esn.n + 1)))
+        next(harvest_steps(esn, u, s0=np.zeros(esn.n + 1)))
     with pytest.raises(HubnetError, match="initial state s0 must be finite"):
-        next(harvest_chunks(esn, u, 2, s0=np.full(esn.n, np.inf)))
+        next(harvest_steps(esn, u, s0=np.full(esn.n, np.inf)))
 
 
 def test_harvest_chunks_survive_a_consumer_that_overwrites_them():
@@ -222,11 +214,12 @@ def test_harvest_chunks_survive_a_consumer_that_overwrites_them():
     u = np.random.default_rng(6).uniform(size=(9, 30, 28))
     whole = harvest(esn, u)
     buffers = set()
-    for t0, chunk in harvest_chunks(esn, u, 4):
-        assert np.array_equal(chunk, whole[:, t0:t0 + len(chunk)].transpose(1, 0, 2))
-        buffers.add(chunk.__array_interface__["data"][0])
-        chunk[:] = 0.0
-    # every chunk is a view of the same buffer
+    for t, states in enumerate(harvest_steps(esn, u)):
+        assert np.array_equal(states, whole[:, t])
+        buffers.add(states.__array_interface__["data"][0])
+        states[:] = 0.0
+    assert t == 29
+    # every step is a view of the same buffer
     assert len(buffers) == 1
 
 
@@ -273,10 +266,9 @@ def test_harvest_keeps_the_bits_of_the_per_step_recurrence(n, batch):
         for s0 in (None, np.zeros(n), rng.uniform(-0.5, 0.5, size=n)):
             expected = reference_harvest(esn, inputs, s0)
             assert np.array_equal(harvest(esn, inputs, s0=s0), expected)
-            for steps in (1, 7, t_len):
-                chunks = stacked_chunks(esn, inputs, steps, s0)
-                assert np.array_equal(chunks[:, 0] if batch == 1 else chunks.transpose(1, 0, 2),
-                                      expected)
+            steps = stacked_steps(esn, inputs, s0)
+            assert np.array_equal(steps[:, 0] if batch == 1 else steps.transpose(1, 0, 2),
+                                  expected)
 
 
 def test_row_blocks_cover_every_row_once():
