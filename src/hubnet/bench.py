@@ -64,12 +64,10 @@ _MASK64 = (1 << 64) - 1
 
 # images an MNIST trial runs through the reservoir at a time, in lockstep,
 # so no trial holds its whole state matrix.  Each recurrent step is one
-# 294-row gemm: against 147-image blocks, this and _drive's zero-start skip
-# took the median mnist-synth op (n = 500, one BLAS thread, 2-vCPU VM) from
-# 1.005 to 0.881 s, with the states summed two steps at a time (10 runs
-# each); summed one step at a time they take 0.975 s against 0.857 s.
-# Blocks of 588 images raised the traced peak of a 1,000-image n = 60 trial
-# from 5.8 to 9.3 MB
+# 294-row gemm: against 147-image blocks, this took the median mnist-synth
+# op (n = 500, one BLAS thread, 2-vCPU VM) from 1.005 to 0.881 s, with the
+# states summed two steps at a time (10 runs each).  Blocks of 588 images
+# raised the traced peak of a 1,000-image n = 60 trial from 5.8 to 9.3 MB
 BLOCK_IMAGES = 294
 
 
@@ -161,24 +159,20 @@ def rmse(pred: np.ndarray, target: np.ndarray) -> float:
 def majority_vote_accuracy(step_scores, labels) -> float:
     """Classification accuracy under per-timestep majority voting.
 
-    ``step_scores`` holds one (T, C) score matrix per image, for example
-    as a (k, T, C) array.  Each of an image's timesteps votes the argmax
-    of its score vector; vote ties break toward the class with the largest
-    summed score, then the lowest class index.
+    ``step_scores`` is a (k, T, C) array, the (T, C) score matrix of each
+    of k images.  Each of an image's timesteps votes the argmax of its
+    score vector; vote ties break toward the class with the largest summed
+    score, then the lowest class index.
     """
+    scores = np.asarray(step_scores, dtype=float)
     labels = np.asarray(labels)
-    lengths = [len(scores) for scores in step_scores]
-    if not lengths or len(lengths) != labels.shape[0]:
+    if scores.ndim != 3 or len(scores) == 0 or len(scores) != labels.shape[0]:
         raise HubnetError("need one score matrix per label")
-    if min(lengths) == 0:
+    if scores.shape[1] == 0:
         raise HubnetError("every score matrix needs at least one timestep")
-    scores = np.concatenate(step_scores).astype(float, copy=False)
-    shape = (len(lengths), scores.shape[1])
-    image = np.repeat(np.arange(shape[0]), lengths)
-    votes, sums = np.zeros(shape, dtype=int), np.zeros(shape)
-    np.add.at(votes, (image, scores.argmax(axis=1)), 1)
-    # add.at sums each image's timesteps in order, as a per-image sum does
-    np.add.at(sums, image, scores)
+    votes = (scores.argmax(axis=2)[..., None] == np.arange(scores.shape[2])).sum(axis=1)
+    # a sum over the timestep axis adds each image's timesteps in order
+    sums = scores.sum(axis=1)
     # argmax takes the first of equal sums, the lowest class index
     pred = np.where(votes == votes.max(axis=1, keepdims=True), sums, -np.inf).argmax(axis=1)
     return float(np.mean(pred == labels))
@@ -203,8 +197,8 @@ def _mnist_steps(esn, mnist: MnistData, indices: np.ndarray):
     The images run through the reservoir ``BLOCK_IMAGES`` at a time, in
     lockstep.  Yields ``(i0, t, states, onehot)``: ``states[b]`` is the
     state of block image b, image i0 + b of ``indices``, after column t, a
-    view of ``harvest_steps``'s reused buffer, and ``onehot`` holds the
-    block's targets.
+    read-only view that ``harvest_steps`` overwrites two steps later, and
+    ``onehot`` holds the block's targets.
     """
     for i0 in range(0, len(indices), BLOCK_IMAGES):
         inputs, onehot = mnist_sequences(mnist, indices[i0:i0 + BLOCK_IMAGES])
@@ -219,11 +213,12 @@ def _train_rows(steps, washout: int, col_abs: np.ndarray):
     starts from the zero state, but not from ``col_abs``, which each
     step's column sums of |S| are added to once the fit has summed it.
     """
+    # |S| goes to one buffer of a block's rows: the states are read-only
+    scratch = np.empty((BLOCK_IMAGES, col_abs.size))
     for _, t, states, onehot in steps:
         if t >= washout:
             yield states, onehot
-        # |S| overwrites the states, which the fit no longer needs
-        col_abs += np.abs(states, out=states).sum(axis=0)
+        col_abs += np.abs(states, out=scratch[:len(states)]).sum(axis=0)
 
 
 def _mnist_readout(esn, mnist: MnistData, train_idx: np.ndarray):

@@ -1,6 +1,7 @@
 """The one exception type the hubnet modules raise, and its common checks."""
 
-import operator
+import math
+import numbers
 import os
 
 
@@ -31,14 +32,19 @@ def check_memory(need: int, subject: str, purpose: str) -> None:
 def check_int(name: str, value, low: int | None = None) -> None:
     """Raise ``HubnetError`` unless ``value`` is an integer of at least ``low``.
 
-    An integer is what ``operator.index`` takes: a float such as 10.5, or
-    even 10.0, is refused, because used as a size it fails late with a raw
-    ``TypeError``, or truncates silently.  ``low`` None sets no bound.
+    An integer is a ``numbers.Integral`` other than a bool: a float such as
+    10.5, or even 10.0, is refused, because used as a size it fails late
+    with a raw ``TypeError``, or truncates silently, and a JSON ``true`` is
+    no number.  ``low`` None sets no bound.
     """
-    try:
-        operator.index(value)
-    except TypeError:
-        raise HubnetError(f"{name} must be an integer, got {value!r}") from None
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise HubnetError(f"{name} must be an integer, got {value!r}")
     if low is not None and value < low:
         bound = "nonnegative" if low == 0 else f">= {low}"
         raise HubnetError(f"{name} must be {bound}, got {value}")
+
+
+def check_float(name: str, value) -> None:
+    """Raise ``HubnetError`` unless ``value`` is a finite real number other than a bool."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        raise HubnetError(f"{name} must be a finite number, got {value!r}")

@@ -9,12 +9,11 @@ regularizer that interpolates back towards a uniformly pruned network.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import HubnetError, check_int, check_memory
+from .errors import HubnetError, check_float, check_int, check_memory
 
 __all__ = [
     "TopologyConfig",
@@ -63,12 +62,12 @@ class TopologyConfig:
 
     def __post_init__(self):
         check_int("n", self.n, 0)
+        check_int("seed", self.seed, 0)
         for name in ("density", "alpha", "beta", "lambda_dc", "lambda_nc",
                      "lambda_reg", "weight_sigma2"):
             # a NaN passes the "< 0" checks below, and NaN or infinite
             # deletion masses turn hub pruning silently uniform
-            if not math.isfinite(getattr(self, name)):
-                raise HubnetError(f"{name} must be finite, got {getattr(self, name)}")
+            check_float(name, getattr(self, name))
         if not (0.0 < self.density <= 1.0):
             raise HubnetError(f"density must be in (0, 1], got {self.density}")
         if self.mode not in ("hub", "random"):
@@ -291,8 +290,9 @@ def network_to_dict(net: Network) -> dict:
 def edges_to_dense(edges, shape: tuple[int, int]) -> np.ndarray:
     """Dense matrix from [row, column, weight] triples.
 
-    Rejects an index outside the matrix and a non-finite weight, so a
-    malformed document cannot wrap into another row or poison results.
+    Rejects an index outside the matrix or not an integer, an edge given
+    twice and a non-finite weight, so a malformed document cannot wrap
+    into another row, lose an edge or poison results.
     """
     try:
         triples = np.asarray(edges, dtype=float)
@@ -304,13 +304,18 @@ def edges_to_dense(edges, shape: tuple[int, int]) -> np.ndarray:
         raise HubnetError("edges must be [row, column, weight] triples")
     rows, cols, values = triples.T
     for idx, size, what in ((rows, shape[0], "row"), (cols, shape[1], "column")):
-        bad = ~((idx >= 0) & (idx < size))
+        bad = ~((idx >= 0) & (idx < size) & (idx == np.floor(idx)))
         if bad.any():
-            raise HubnetError(f"edge {what} index {idx[bad][0]:g} outside 0..{size - 1}")
+            raise HubnetError(f"edge {what} {idx[bad][0]:g} is not an integer in 0..{size - 1}")
     if not np.isfinite(values).all():
         raise HubnetError("edge weights must be finite")
+    flat = rows.astype(int) * shape[1] + cols.astype(int)
+    seen, counts = np.unique(flat, return_counts=True)
+    if (counts > 1).any():
+        row, col = divmod(int(seen[counts > 1][0]), shape[1])
+        raise HubnetError(f"edge ({row}, {col}) appears more than once")
     dense = np.zeros(shape)
-    dense[rows.astype(int), cols.astype(int)] = values
+    dense.flat[flat] = values
     return dense
 
 

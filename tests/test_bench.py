@@ -70,18 +70,20 @@ def test_rmse_oracle():
 
 
 def test_majority_vote_accuracy():
-    # image 1: steps vote class 1 twice, class 0 once
-    s1 = np.array([[0.1, 0.9], [0.2, 0.8], [0.7, 0.3]])
-    # image 2: 1-1 vote tie; summed score favors class 0
-    s2 = np.array([[0.9, 0.1], [0.2, 0.7]])
-    acc = majority_vote_accuracy([s1, s2], np.array([1, 0]))
+    # image 1: steps vote class 1 three times, class 0 once
+    s1 = np.array([[0.1, 0.9], [0.2, 0.8], [0.7, 0.3], [0.3, 0.7]])
+    # image 2: 2-2 vote tie; summed score favors class 0
+    s2 = np.array([[0.9, 0.1], [0.2, 0.7], [0.9, 0.1], [0.2, 0.7]])
+    acc = majority_vote_accuracy(np.stack([s1, s2]), np.array([1, 0]))
     assert acc == 1.0
-    acc = majority_vote_accuracy([s1, s2], np.array([0, 0]))
+    acc = majority_vote_accuracy(np.stack([s1, s2]), np.array([0, 0]))
     assert acc == 0.5
     with pytest.raises(HubnetError, match="one score matrix per label"):
-        majority_vote_accuracy([], np.array([]))
+        majority_vote_accuracy(np.empty((0, 4, 2)), np.array([]))
+    with pytest.raises(HubnetError, match="one score matrix per label"):
+        majority_vote_accuracy(s1, np.array([1, 0, 0, 1]))
     with pytest.raises(HubnetError, match="at least one timestep"):
-        majority_vote_accuracy([s1, s2[:0]], np.array([1, 0]))
+        majority_vote_accuracy(np.empty((2, 0, 2)), np.array([1, 0]))
 
 
 def loop_majority_vote(step_scores, labels):
@@ -106,8 +108,7 @@ def test_majority_vote_accuracy_matches_per_image_loop():
         for c in range(classes):
             expected = loop_majority_vote(scores, np.full(k, c))
             assert majority_vote_accuracy(scores, np.full(k, c)) == expected
-        ragged = [s[:rng.integers(1, steps + 1)] for s in scores]
-        assert majority_vote_accuracy(ragged, labels) == loop_majority_vote(ragged, labels)
+        assert majority_vote_accuracy(scores, labels) == loop_majority_vote(scores, labels)
 
 
 def test_run_trial_is_deterministic():
@@ -387,6 +388,7 @@ def test_streamed_mnist_readout_rejects_non_finite_states(monkeypatch):
 
     def poisoned(esn, inputs, s0=None):
         for states in harvest_steps(esn, inputs, s0):
+            states = states.copy()
             states[-1, 0] = np.nan
             yield states
 

@@ -142,8 +142,13 @@ def test_malformed_network_json_exits_1(tmp_path, capsys, edge):
     lambda doc: doc.update(coords=[[None, 0.0, 0.0]] * 20),  # null coordinates
     lambda doc: doc.update(coords=[[{}, 0.0, 0.0]] * 20),  # coordinates that are no number
     lambda doc: doc.update(n=20.7),  # a non-integer n
+    lambda doc: doc["edges"].append([0.5, 1.9, 1.0]),  # fractional edge indices
+    lambda doc: doc["edges"].append(doc["edges"][0][:2] + [2.0]),  # an edge given twice
+    lambda doc: doc["config"].update(seed="x"),  # a seed that is no integer
+    lambda doc: doc["config"].update(density=True),  # a bool for a float field
 ], ids=["unknown-key", "missing-config-key", "missing-key", "extra-key", "n-mismatch",
-        "coords-short", "coords-pairs", "coords-null", "coords-object", "n-float"])
+        "coords-short", "coords-pairs", "coords-null", "coords-object", "n-float",
+        "edge-fractional", "edge-duplicate", "seed-string", "density-bool"])
 def test_malformed_network_config_exits_1(tmp_path, capsys, corrupt):
     net_path = tmp_path / "net.json"
     run(["gen", "--n", "20", "--seed", "1", "--out", str(net_path)])

@@ -47,8 +47,9 @@ TOPOLOGY_FLOATS = ("density", "alpha", "beta", "lambda_dc", "lambda_nc",
 
 
 # a NaN passes the "< 0" range checks, and NaN or infinite lambdas or
-# exponents used to prune a hub network uniformly under a "hub" config
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+# exponents used to prune a hub network uniformly under a "hub" config; a
+# bool, as a JSON true, used to load as 1.0
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, True])
 @pytest.mark.parametrize("config, field", [(TopologyConfig, f) for f in TOPOLOGY_FLOATS]
                          + [(EsnConfig, "spec_rad"), (EsnConfig, "r_sig")])
 def test_configs_reject_non_finite_floats(config, field, value):
@@ -61,6 +62,9 @@ def test_configs_reject_non_finite_floats(config, field, value):
     (lambda: EsnConfig(n=10.5), "n"),
     (lambda: EsnConfig(n=10, input_dim=2.0), "input_dim"),
     (lambda: TopologyConfig(n=7.5), "n"),
+    (lambda: EsnConfig(n=True), "n"),
+    (lambda: TopologyConfig(n=3, seed="x"), "seed"),
+    (lambda: EsnConfig(n=10, seed=1.5), "seed"),
     (lambda: EsnConfig(n=10, washout=1.5), "washout"),
     (lambda: fit_readout(np.ones((6, 2)), np.ones(6), washout=1.5), "washout"),
     (lambda: MackeyGlassConfig(length=10.5), "length"),
@@ -209,18 +213,24 @@ def test_harvest_chunks_of_one_sequence_and_their_checks():
         next(harvest_steps(esn, u, s0=np.full(esn.n, np.inf)))
 
 
-def test_harvest_chunks_survive_a_consumer_that_overwrites_them():
+def test_harvest_steps_yield_read_only_views_that_the_readout_leaves_unwritten():
     esn = init_esn(EsnConfig(n=30, input_dim=28, seed=6))
     u = np.random.default_rng(6).uniform(size=(9, 30, 28))
     whole = harvest(esn, u)
     buffers = set()
     for t, states in enumerate(harvest_steps(esn, u)):
         assert np.array_equal(states, whole[:, t])
+        assert not states.flags.writeable
         buffers.add(states.__array_interface__["data"][0])
-        states[:] = 0.0
     assert t == 29
-    # every step is a view of the same buffer
-    assert len(buffers) == 1
+    # each step reads the state before it, so the steps share two buffers
+    assert len(buffers) <= 2
+    # the MNIST readout sums |S| without writing to the states it gets
+    expected = whole.copy()
+    steps = ((0, t, whole[:, t], np.zeros((9, 10))) for t in range(30))
+    for _ in bench._train_rows(steps, 5, np.zeros(esn.n)):
+        pass
+    assert np.array_equal(whole, expected)
 
 
 def reference_harvest(esn, inputs, s0=None):
@@ -262,7 +272,7 @@ def test_harvest_keeps_the_bits_of_the_per_step_recurrence(n, batch):
         rng = np.random.default_rng(n * batch + d)
         u = rng.uniform(-1.0, 1.0, size=(batch, t_len, d))
         inputs = u[0] if batch == 1 else u
-        # a zero start, given or not, skips the first recurrent product
+        # no s0 skips the first recurrent product; an explicit zero s0 runs it
         for s0 in (None, np.zeros(n), rng.uniform(-0.5, 0.5, size=n)):
             expected = reference_harvest(esn, inputs, s0)
             assert np.array_equal(harvest(esn, inputs, s0=s0), expected)
