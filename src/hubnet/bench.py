@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -103,7 +103,7 @@ class TrialSpec:
     model: str
     n: int
     n_train: int
-    n_test: int
+    n_test: int = 2000
     trial_index: int = 0
     base_seed: int = 0
 
@@ -251,31 +251,43 @@ def _mnist_step_scores(esn, mnist: MnistData, test_idx: np.ndarray,
     return step_scores
 
 
-def readout_analysis(spec: TrialSpec, overrides: dict | None = None,
-                     mnist: MnistData | None = None) -> dict:
-    """Train one model on the trial's shared dataset; return the full bundle.
+_TOPOLOGY_FIELDS = {f.name for f in fields(TopologyConfig)}
+_SETTINGS = _TOPOLOGY_FIELDS | {f.name for f in fields(EsnConfig)}
 
-    ``overrides`` sets topology fields (density, alpha, ...) and any other
-    ``EsnConfig`` field by name.
+
+def esn_config(spec: TrialSpec, overrides: dict | None = None) -> EsnConfig:
+    """The reservoir config of one trial.
+
+    ``overrides`` sets any ``TopologyConfig`` or ``EsnConfig`` field by
+    name; a name that neither has is a ``HubnetError``.
     """
-    overrides = dict(overrides or {})
-    topo_kwargs = {
-        "n": spec.n,
-        "mode": "random" if spec.model == "esn" else "hub",
-        "seed": spec.model_seed,
-    }
-    for key in ("density", "alpha", "beta", "lambda_dc", "lambda_nc",
-                "lambda_reg", "weight_sigma2"):
-        if key in overrides:
-            topo_kwargs[key] = overrides.pop(key)
-    cfg = EsnConfig(**{
+    esn = dict(overrides or {})
+    unknown = sorted(set(esn) - _SETTINGS)
+    if unknown:
+        raise HubnetError(f"no setting is named {unknown[0]!r}")
+    topo = {k: esn.pop(k) for k in _TOPOLOGY_FIELDS & set(esn)}
+    return EsnConfig(**{
         "n": spec.n,
         "input_dim": 28 if spec.task == "mnist" else 1,
         "injection": "hub" if spec.model == "hubesn" else "random",
         "seed": spec.model_seed,
-        "topology": TopologyConfig(**topo_kwargs),
-        **overrides,
+        "topology": TopologyConfig(**{
+            "n": spec.n,
+            "mode": "random" if spec.model == "esn" else "hub",
+            "seed": spec.model_seed,
+            **topo,
+        }),
+        **esn,
     })
+
+
+def readout_analysis(spec: TrialSpec, overrides: dict | None = None,
+                     mnist: MnistData | None = None) -> dict:
+    """Train one model on the trial's shared dataset; return the full bundle.
+
+    ``overrides`` are the settings ``esn_config`` takes.
+    """
+    cfg = esn_config(spec, overrides)
     if spec.task == "mnist":
         if mnist is None:
             raise HubnetError("mnist task requires loaded MnistData")
@@ -335,6 +347,7 @@ def run_experiment(grid, repeats: int, base_seed: int, jobs: int = 1,
     of the degree of parallelism.
     """
     check_int("repeats", repeats, 1)
+    check_int("jobs", jobs, 1)
     specs = [
         TrialSpec(task=task, model=model, n=n, n_train=n_train,
                   n_test=n_test, trial_index=t, base_seed=base_seed)

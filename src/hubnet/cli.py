@@ -1,64 +1,90 @@
 """Command-line interface: gen, metrics, bench, analyze-readout, plot.
 
 Exit codes: 0 success, 1 runtime error, 2 usage error.  ``HUBNET_SEED``
-overrides the default seed when ``--seed`` is not given.
+overrides the default seed when ``--seed`` is not given.  A flag that sets
+a config field takes its type, default and valid range from the field:
+``gen``, ``bench`` and ``analyze-readout`` build their configs before any
+file is read or written, and a value a config rejects is a usage error
+with the library's own message.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import dataclasses
 import html
 import json
 import math
 import os
 import sys
+import typing
 
 from . import bench as bench_mod
 from . import netmetrics, tasks, topology
+from .errors import HubnetError, check_int
+from .reservoir import EsnConfig
 
-TASK_FLAG_TO_NAME = {
-    "mackey-glass": "mackey_glass",
-    "narma10": "narma10",
-    "mnist": "mnist",
+TASK_FLAG_TO_NAME = {name.replace("_", "-"): name for name in bench_mod.TASKS}
+MODEL_FLAG_TO_NAME = {name.replace("_", "-"): name for name in bench_mod.MODELS}
+
+# the help of each flag that sets a config field, by field name; its type,
+# default and valid range are the field's own
+TOPOLOGY_FLAGS = {
+    "density": "fraction of off-diagonal edges retained",
+    "alpha": "distance-constraint exponent",
+    "beta": "index-sum-constraint exponent",
+    "lambda_dc": "distance-constraint weight",
+    "lambda_nc": "index-sum-constraint weight",
+    "lambda_reg": "random-regularizer weight",
+    "weight_sigma2": "recurrent weight variance",
 }
-MODEL_FLAG_TO_NAME = {
-    "esn": "esn",
-    "hubesn": "hubesn",
-    "hubesn-rand": "hubesn_rand",
+ESN_FLAGS = {
+    "spec_rad": "spectral radius of the recurrent matrix",
+    "r_sig": "fraction of neurons receiving input",
+    "washout": "initial states discarded before fitting",
+}
+TRIAL_FLAGS = {
+    "n": "node count",
+    "n_train": "training steps (images for mnist)",
+    "n_test": "test steps (images for mnist)",
 }
 
 
-def _int_at_least(minimum: int):
-    """argparse type: an integer no smaller than ``minimum`` (else exit 2)."""
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
-        return value
-    parse.__name__ = "int"  # argparse names the type in its message for "ten"
-    return parse
+class UsageError(Exception):
+    pass
 
 
-POSITIVE_INT = _int_at_least(1)
-NONNEGATIVE_INT = _int_at_least(0)
+def _add_config_flags(p: argparse.ArgumentParser, config, table: dict) -> None:
+    """One flag per ``{field: help}`` entry of ``table``, typed as ``config``'s field.
+
+    An absent flag stays out of the parsed arguments, so the field's
+    default is the only one; a field without a default makes a required flag.
+    """
+    hints = typing.get_type_hints(config)
+    defaults = {f.name: f.default for f in dataclasses.fields(config)}
+    for name, help_text in table.items():
+        required = defaults[name] is dataclasses.MISSING
+        if not required:
+            help_text += f" (default {defaults[name]:g})"
+        flag = "--trial" if name == "trial_index" else "--" + name.replace("_", "-")
+        p.add_argument(flag, dest=name, type=hints[name], required=required,
+                       default=argparse.SUPPRESS, help=help_text)
 
 
-def _finite_float(accept, rule: str):
-    """argparse type: a finite float for which ``accept`` holds (else exit 2)."""
-    def parse(text: str) -> float:
-        value = float(text)
-        if not (math.isfinite(value) and accept(value)):
-            raise argparse.ArgumentTypeError(f"must be finite and {rule}, got {text}")
-        return value
-    parse.__name__ = "float"
-    return parse
+def _given(args, names) -> dict:
+    """The flags of the fields ``names`` given on the command line, by field name."""
+    return {name: getattr(args, name) for name in names if name in args}
 
 
-# the ranges the config dataclasses enforce, checked as usage errors
-FRACTION = _finite_float(lambda v: 0.0 < v <= 1.0, "in (0, 1]")
-POSITIVE_FLOAT = _finite_float(lambda v: v > 0.0, "> 0")
-NONNEGATIVE_FLOAT = _finite_float(lambda v: v >= 0.0, ">= 0")
+@contextlib.contextmanager
+def _settings_checked():
+    """Report a setting that a config rejects as a usage error."""
+    try:
+        yield
+    except HubnetError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _seed_from_env() -> int:
@@ -72,35 +98,10 @@ def _seed_from_env() -> int:
         raise UsageError(f"HUBNET_SEED must be an integer, got {env!r}") from None
 
 
-def _add_topology_flags(p: argparse.ArgumentParser):
-    p.add_argument("--n", type=POSITIVE_INT, required=True, help="node count")
-    p.add_argument("--density", type=FRACTION, default=0.2,
-                   help="fraction of off-diagonal edges retained (default 0.2)")
-    p.add_argument("--alpha", type=NONNEGATIVE_FLOAT, default=2.0,
-                   help="distance-constraint exponent (default 2)")
-    p.add_argument("--beta", type=NONNEGATIVE_FLOAT, default=2.0,
-                   help="index-sum-constraint exponent (default 2)")
-    p.add_argument("--lambda-dc", type=NONNEGATIVE_FLOAT, default=0.5,
-                   help="distance-constraint weight (default 0.5)")
-    p.add_argument("--lambda-nc", type=NONNEGATIVE_FLOAT, default=0.5,
-                   help="index-sum-constraint weight (default 0.5)")
-    p.add_argument("--lambda-reg", type=NONNEGATIVE_FLOAT, default=0.0,
-                   help="random-regularizer weight (default 0)")
-    p.add_argument("--weight-sigma2", type=POSITIVE_FLOAT, default=1.0 / 3.0,
-                   help="recurrent weight variance (default 1/3)")
-
-
-def _topology_config(args, mode: str) -> topology.TopologyConfig:
-    return topology.TopologyConfig(
-        n=args.n, density=args.density, alpha=args.alpha, beta=args.beta,
-        lambda_dc=args.lambda_dc, lambda_nc=args.lambda_nc,
-        lambda_reg=args.lambda_reg, mode=mode,
-        weight_sigma2=args.weight_sigma2, seed=args.seed,
-    )
-
-
 def cmd_gen(args) -> int:
-    cfg = _topology_config(args, args.mode)
+    with _settings_checked():
+        cfg = topology.TopologyConfig(mode=args.mode, seed=args.seed,
+                                      **_given(args, ["n", *TOPOLOGY_FLAGS]))
     net = topology.generate_network(cfg)
     topology.save_network(net, args.out)
     return 0
@@ -125,36 +126,28 @@ def cmd_metrics(args) -> int:
     return 0
 
 
-def _overrides_from_args(args) -> dict:
-    ov = {
-        "density": args.density,
-        "alpha": args.alpha,
-        "beta": args.beta,
-        "lambda_dc": args.lambda_dc,
-        "lambda_nc": args.lambda_nc,
-        "lambda_reg": args.lambda_reg,
-        "weight_sigma2": args.weight_sigma2,
-        "spec_rad": args.spec_rad,
-        "r_sig": args.r_sig,
-        "washout": args.washout,
-    }
-    return ov
+def _checked_run(args, models: list[str]):
+    """Trial 0 of each model, the config overrides and the MNIST data of a run.
 
-
-def _load_mnist_if_needed(args, task: str):
-    if task != "mnist":
-        return None
+    Every setting is checked, as a usage error, before a file is read;
+    the trials of a model differ only in their seeds.
+    """
+    overrides = _given(args, [*TOPOLOGY_FLAGS, *ESN_FLAGS])
+    with _settings_checked():
+        specs = [bench_mod.TrialSpec(task=TASK_FLAG_TO_NAME[args.task], model=m,
+                                     base_seed=args.seed,
+                                     **_given(args, [*TRIAL_FLAGS, "trial_index"]))
+                 for m in models]
+        for spec in specs:
+            bench_mod.esn_config(spec, overrides)
+    if specs[0].task != "mnist":
+        return specs, overrides, None
     if not args.mnist_images or not args.mnist_labels:
         raise UsageError("task=mnist requires --mnist-images and --mnist-labels")
-    return tasks.load_mnist(args.mnist_images, args.mnist_labels)
-
-
-class UsageError(Exception):
-    pass
+    return specs, overrides, tasks.load_mnist(args.mnist_images, args.mnist_labels)
 
 
 def cmd_bench(args) -> int:
-    task = TASK_FLAG_TO_NAME[args.task]
     models = []
     for flag in args.models.split(","):
         flag = flag.strip()
@@ -164,11 +157,14 @@ def cmd_bench(args) -> int:
             # a repeated model would run each trial twice and count both
             raise UsageError(f"model {flag!r} given twice")
         models.append(MODEL_FLAG_TO_NAME[flag])
-    mnist = _load_mnist_if_needed(args, task)
-    grid = [(task, m, args.n, args.n_train, args.n_test) for m in models]
+    with _settings_checked():
+        check_int("repeats", args.repeats, 1)
+        check_int("jobs", args.jobs, 1)
+    specs, overrides, mnist = _checked_run(args, models)
     results = bench_mod.run_experiment(
-        grid, repeats=args.repeats, base_seed=args.seed, jobs=args.jobs,
-        overrides=_overrides_from_args(args), mnist=mnist,
+        [(s.task, s.model, s.n, s.n_train, s.n_test) for s in specs],
+        repeats=args.repeats, base_seed=args.seed, jobs=args.jobs,
+        overrides=overrides, mnist=mnist,
     )
     bench_mod.write_results_csv(results, args.out,
                                 include_wall_time=not args.omit_timing)
@@ -179,14 +175,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_analyze_readout(args) -> int:
-    task = TASK_FLAG_TO_NAME[args.task]
-    model = MODEL_FLAG_TO_NAME[args.model]
-    mnist = _load_mnist_if_needed(args, task)
-    spec = bench_mod.TrialSpec(task=task, model=model, n=args.n,
-                               n_train=args.n_train, n_test=args.n_test,
-                               trial_index=args.trial, base_seed=args.seed)
-    bundle = bench_mod.readout_analysis(spec, overrides=_overrides_from_args(args),
-                                        mnist=mnist)
+    (spec,), overrides, mnist = _checked_run(args, [MODEL_FLAG_TO_NAME[args.model]])
+    bundle = bench_mod.readout_analysis(spec, overrides=overrides, mnist=mnist)
     esn = bundle["esn"]
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -262,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a network and write it as JSON")
-    _add_topology_flags(p_gen)
+    _add_config_flags(p_gen, topology.TopologyConfig,
+                      {"n": TRIAL_FLAGS["n"], **TOPOLOGY_FLAGS})
     p_gen.add_argument("--mode", choices=["hub", "random"], default="hub")
     p_gen.add_argument("--seed", type=int)
     p_gen.add_argument("--out", required=True, help="output network JSON path")
@@ -282,25 +273,19 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--model", choices=sorted(MODEL_FLAG_TO_NAME),
                            default="hubesn")
-        _add_topology_flags(p)
-        p.add_argument("--spec-rad", type=POSITIVE_FLOAT, default=0.9,
-                       help="spectral radius of the recurrent matrix (default 0.9)")
-        p.add_argument("--r-sig", type=FRACTION, default=0.1,
-                       help="fraction of neurons receiving input (default 0.1)")
-        p.add_argument("--washout", type=NONNEGATIVE_INT, default=0,
-                       help="initial states discarded before fitting (default 0)")
-        p.add_argument("--n-train", type=POSITIVE_INT, required=True)
-        p.add_argument("--n-test", type=POSITIVE_INT, default=2000)
+        _add_config_flags(p, bench_mod.TrialSpec, TRIAL_FLAGS)
+        _add_config_flags(p, topology.TopologyConfig, TOPOLOGY_FLAGS)
+        _add_config_flags(p, EsnConfig, ESN_FLAGS)
         p.add_argument("--seed", type=int)
         p.add_argument("--mnist-images", help="IDX image file (.gz ok)")
         p.add_argument("--mnist-labels", help="IDX label file (.gz ok)")
 
     p_bench = sub.add_parser("bench", help="run the seeded benchmark grid")
     add_run_flags(p_bench, with_models=True)
-    p_bench.add_argument("--repeats", type=POSITIVE_INT, default=100,
+    p_bench.add_argument("--repeats", type=int, default=100,
                          help="trials per setting (default 100)")
-    p_bench.add_argument("--jobs", type=POSITIVE_INT, default=1,
-                         help="parallel trial workers")
+    p_bench.add_argument("--jobs", type=int, default=1,
+                         help="parallel trial workers (default 1)")
     p_bench.add_argument("--out", required=True, help="per-trial results CSV")
     p_bench.add_argument("--aggregate-out", help="aggregate CSV path")
     p_bench.add_argument("--omit-timing", action="store_true",
@@ -310,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze-readout",
                           help="train one model and export per-neuron readout weights")
     add_run_flags(p_an, with_models=False)
-    p_an.add_argument("--trial", type=NONNEGATIVE_INT, default=0, help="trial index")
+    _add_config_flags(p_an, bench_mod.TrialSpec, {"trial_index": "trial index"})
     p_an.add_argument("--out", required=True, help="per-neuron CSV path")
     p_an.set_defaults(func=cmd_analyze_readout)
 

@@ -1,8 +1,8 @@
 """The one exception type the hubnet modules raise, and its common checks."""
 
-import math
 import numbers
 import os
+import sys
 
 
 class HubnetError(ValueError):
@@ -46,5 +46,7 @@ def check_int(name: str, value, low: int | None = None) -> None:
 
 def check_float(name: str, value) -> None:
     """Raise ``HubnetError`` unless ``value`` is a finite real number other than a bool."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)):
+    # abs(value) <= the largest float fails for NaN, infinity and an int too large for a float
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                       and abs(value) <= sys.float_info.max):
         raise HubnetError(f"{name} must be a finite number, got {value!r}")

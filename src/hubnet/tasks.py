@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HubnetError, check_int
+from .errors import HubnetError, check_float, check_int
 
 __all__ = [
     "MackeyGlassConfig",
@@ -49,6 +49,8 @@ class MackeyGlassConfig:
         check_int("length", self.length, 1)
         check_int("tau", self.tau, 1)
         check_int("transient", self.transient, 0)
+        for name in ("beta_m", "gamma_m", "k", "dt", "x0"):
+            check_float(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -64,6 +66,9 @@ class NarmaConfig:
     def __post_init__(self):
         check_int("length", self.length, 1)
         check_int("l", self.l, 1)
+        check_int("seed", self.seed, 0)
+        for name in ("alpha_n", "beta_n", "gamma_n", "delta_n"):
+            check_float(name, getattr(self, name))
 
 
 @dataclass
@@ -177,8 +182,10 @@ def make_one_step_dataset(series: np.ndarray, n_train: int,
     pairs and test the next n_test.  At evaluation time the test harvest
     should continue from the final training state.
     """
+    check_int("n_train", n_train, 0)
+    check_int("n_test", n_test, 0)
     series = np.asarray(series, dtype=float).reshape(-1)
-    if n_train < 0 or n_test < 0 or n_train + n_test > series.shape[0] - 1:
+    if n_train + n_test > series.shape[0] - 1:
         raise HubnetError(f"need n_train + n_test + 1 <= {series.shape[0]} values")
     inputs = series[:-1, None]
     targets = series[1:, None]
@@ -232,11 +239,12 @@ def mnist_sequences(data: MnistData, indices) -> tuple[np.ndarray, np.ndarray]:
     Row t of an image's input sequence is column t of the image; the
     image's one-hot label is the target at every step.
     """
-    idx = np.asarray(indices, dtype=int).reshape(-1)
-    # fancy indexing would silently wrap a negative index
-    bad = (idx < 0) | (idx >= data.count)
+    idx = np.asarray(indices, dtype=float).reshape(-1)
+    # fancy indexing would wrap a negative index, and a cast truncate a fraction
+    bad = ~((idx >= 0) & (idx < data.count) & (idx == np.floor(idx)))
     if bad.any():
-        raise HubnetError(f"image index {idx[bad][0]} outside 0..{data.count - 1}")
+        raise HubnetError(f"image index {idx[bad][0]:g} is not an integer in 0..{data.count - 1}")
+    idx = idx.astype(int)
     inputs = np.ascontiguousarray(data.images[idx].transpose(0, 2, 1))
     onehot = np.zeros((idx.size, 10))
     onehot[np.arange(idx.size), data.labels[idx]] = 1.0

@@ -8,6 +8,7 @@ regularizer that interpolates back towards a uniformly pruned network.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, asdict
 
@@ -287,28 +288,21 @@ def network_to_dict(net: Network) -> dict:
     }
 
 
-def edges_to_dense(edges, shape: tuple[int, int]) -> np.ndarray:
-    """Dense matrix from [row, column, weight] triples.
+def edges_to_dense(triples: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Dense matrix from a (k, 3) array of [row, column, weight] triples.
 
-    Rejects an index outside the matrix or not an integer, an edge given
-    twice and a non-finite weight, so a malformed document cannot wrap
-    into another row, lose an edge or poison results.
+    Rejects an index outside the matrix or not an integer, a self-loop,
+    an edge given twice and a zero or non-finite weight, so a malformed
+    document cannot wrap into another row, lose an edge, hold one that no
+    measure counts or poison results.
     """
-    try:
-        triples = np.asarray(edges, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise HubnetError("edges must be [row, column, weight] triples") from exc
-    if triples.size == 0:
-        triples = triples.reshape(0, 3)
-    if triples.ndim != 2 or triples.shape[1] != 3:
-        raise HubnetError("edges must be [row, column, weight] triples")
     rows, cols, values = triples.T
     for idx, size, what in ((rows, shape[0], "row"), (cols, shape[1], "column")):
         bad = ~((idx >= 0) & (idx < size) & (idx == np.floor(idx)))
         if bad.any():
             raise HubnetError(f"edge {what} {idx[bad][0]:g} is not an integer in 0..{size - 1}")
-    if not np.isfinite(values).all():
-        raise HubnetError("edge weights must be finite")
+    if not (np.isfinite(values) & (values != 0) & (rows != cols)).all():
+        raise HubnetError("every edge must join two nodes by a finite nonzero weight")
     flat = rows.astype(int) * shape[1] + cols.astype(int)
     seen, counts = np.unique(flat, return_counts=True)
     if (counts > 1).any():
@@ -317,6 +311,22 @@ def edges_to_dense(edges, shape: tuple[int, int]) -> np.ndarray:
     dense = np.zeros(shape)
     dense.flat[flat] = values
     return dense
+
+
+def _number_triples(rows, key: str) -> np.ndarray:
+    """A JSON list of rows of three numbers as a (k, 3) float array.
+
+    Checked here because numpy would read a bool, a numeric string or a
+    null as a number.
+    """
+    if (isinstance(rows, list) and set(map(type, rows)) <= {list}
+            and set(map(len, rows)) <= {3}
+            and set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}):
+        try:
+            return np.array(rows, dtype=float).reshape(-1, 3)
+        except OverflowError:  # an int too large for a float
+            pass
+    raise HubnetError(f"network JSON {key} must be a list of rows of three numbers")
 
 
 def network_from_dict(doc: dict) -> Network:
@@ -331,17 +341,11 @@ def network_from_dict(doc: dict) -> Network:
     check_int("n", n)
     if n != cfg.n:
         raise HubnetError(f"network JSON has n = {n} but config.n = {cfg.n}")
-    try:
-        coords = np.asarray(doc["coords"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise HubnetError("network JSON coords must be numbers") from exc
-    if coords.size == 0:
-        coords = coords.reshape(0, 3)
-    # a JSON null reads as NaN
-    if coords.shape != (n, 3) or not np.isfinite(coords).all():
+    coords = _number_triples(doc["coords"], "coords")
+    if len(coords) != n or not np.isfinite(coords).all():
         raise HubnetError(f"network JSON coords must be {n} finite [x, y, z] rows, "
                           f"got shape {coords.shape}")
-    weights = edges_to_dense(doc["edges"], (n, n))
+    weights = edges_to_dense(_number_triples(doc["edges"], "edges"), (n, n))
     return Network(weights=weights, coords=coords, config=cfg)
 
 

@@ -11,6 +11,7 @@ from hubnet.bench import (
     TrialSpec,
     aggregate,
     dataset_seed,
+    esn_config,
     majority_vote_accuracy,
     model_seed,
     readout_analysis,
@@ -58,6 +59,18 @@ def test_model_seeds_differ_across_models():
     assert len(seeds) == 3
     assert dataset_seed(0, "narma10", 60, 2) != dataset_seed(0, "mackey_glass", 60, 2)
     assert model_seed(0, "narma10", 60, 2, "esn") != dataset_seed(0, "narma10", 60, 2)
+
+
+def test_esn_config_applies_overrides_by_field_name():
+    s = spec("hubesn", task="narma10")
+    cfg = esn_config(s, {"density": 0.3, "lambda_reg": 0.25, "spec_rad": 0.8, "washout": 4})
+    assert (cfg.topology.density, cfg.topology.lambda_reg, cfg.topology.mode) == (0.3, 0.25, "hub")
+    assert (cfg.spec_rad, cfg.washout, cfg.injection) == (0.8, 4, "hub")
+    assert cfg.seed == cfg.topology.seed == s.model_seed
+    assert esn_config(spec("esn")).topology.mode == "random"
+    # a key that names no field used to raise a raw TypeError
+    with pytest.raises(HubnetError, match="no setting is named 'bogus'"):
+        readout_analysis(s, {"bogus": 1})
 
 
 def test_rmse_oracle():
@@ -150,6 +163,9 @@ def test_run_experiment_parallel_equals_sequential():
     assert [r.score for r in seq] == [r.score for r in par]
     with pytest.raises(ValueError):
         run_experiment(grid, repeats=0, base_seed=0)
+    for jobs in (0, -3):
+        with pytest.raises(HubnetError, match="jobs must be >= 1"):
+            run_experiment(grid, repeats=1, base_seed=0, jobs=jobs)
 
 
 class RecordingPool:

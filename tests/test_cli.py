@@ -146,9 +146,15 @@ def test_malformed_network_json_exits_1(tmp_path, capsys, edge):
     lambda doc: doc["edges"].append(doc["edges"][0][:2] + [2.0]),  # an edge given twice
     lambda doc: doc["config"].update(seed="x"),  # a seed that is no integer
     lambda doc: doc["config"].update(density=True),  # a bool for a float field
+    # an edge no measure counts, which saving the network again would keep
+    lambda doc: doc["edges"].append([5, 5, 0.7]),
+    lambda doc: doc["edges"][0].__setitem__(2, 0.0),  # an edge the next save drops
+    lambda doc: doc["edges"][0].__setitem__(2, "0.5"),  # a number as a string
+    lambda doc: doc["coords"][0].__setitem__(0, True),  # a bool for a coordinate
 ], ids=["unknown-key", "missing-config-key", "missing-key", "extra-key", "n-mismatch",
         "coords-short", "coords-pairs", "coords-null", "coords-object", "n-float",
-        "edge-fractional", "edge-duplicate", "seed-string", "density-bool"])
+        "edge-fractional", "edge-duplicate", "seed-string", "density-bool",
+        "edge-self-loop", "edge-zero", "edge-string", "coords-bool"])
 def test_malformed_network_config_exits_1(tmp_path, capsys, corrupt):
     net_path = tmp_path / "net.json"
     run(["gen", "--n", "20", "--seed", "1", "--out", str(net_path)])
@@ -172,13 +178,14 @@ def test_malformed_network_config_exits_1(tmp_path, capsys, corrupt):
     ["analyze-readout", "--trial", "-1"],
 ])
 def test_out_of_range_integer_flag_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "r.csv"
     base = {"--task": "narma10", "--n": "20", "--n-train": "30", "--n-test": "10",
-            "--out": str(tmp_path / "r.csv")}
+            "--out": str(out)}
     base[argv[1]] = argv[2]
-    with pytest.raises(SystemExit) as exc:
-        run([argv[0]] + [tok for kv in base.items() for tok in kv])
-    assert exc.value.code == 2
-    assert "must be >=" in capsys.readouterr().err
+    assert run([argv[0]] + [tok for kv in base.items() for tok in kv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -194,14 +201,48 @@ def test_out_of_range_integer_flag_exits_2(tmp_path, capsys, argv):
     ["analyze-readout", "--spec-rad", "0"],
 ])
 def test_out_of_range_float_flag_exits_2(tmp_path, capsys, argv):
-    base = {"--n": "20", "--out": str(tmp_path / "r.csv")}
+    out = tmp_path / "r.csv"
+    base = {"--n": "20", "--out": str(out)}
     if argv[0] != "gen":
         base.update({"--task": "narma10", "--n-train": "30", "--n-test": "10"})
     base[argv[1]] = argv[2]
-    with pytest.raises(SystemExit) as exc:
-        run([argv[0]] + [tok for kv in base.items() for tok in kv])
-    assert exc.value.code == 2
-    assert "must be finite and" in capsys.readouterr().err
+    assert run([argv[0]] + [tok for kv in base.items() for tok in kv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "--seed", "-1"], "seed must be nonnegative, got -1"),
+    (["gen", "--lambda-dc", "0", "--lambda-nc", "0"], "hub mode needs at least one positive lambda"),
+    (["bench", "--density", "1.5"], "density must be in (0, 1], got 1.5"),
+    (["bench", "--lambda-dc", "0", "--lambda-nc", "0", "--models", "esn,hubesn"],
+     "hub mode needs at least one positive lambda"),
+    (["bench", "--repeats", "0"], "repeats must be >= 1, got 0"),
+    (["bench", "--jobs", "-3"], "jobs must be >= 1, got -3"),
+    (["bench", "--n-test", "0"], "n_test must be >= 1, got 0"),
+    (["analyze-readout", "--trial", "-1"], "trial_index must be nonnegative, got -1"),
+    (["analyze-readout", "--r-sig", "2"], "r_sig must be in (0, 1], got 2.0"),
+])
+def test_settings_are_checked_before_any_file_is_read(tmp_path, capsys, argv, message):
+    # the MNIST files do not exist, so reading them would exit 1
+    out = tmp_path / "out"
+    if argv[0] == "gen":
+        argv = argv + ["--n", "20"]
+    else:
+        argv = argv + ["--task", "mnist", "--n", "20", "--n-train", "4",
+                       "--mnist-images", str(tmp_path / "none"),
+                       "--mnist-labels", str(tmp_path / "none")]
+    assert run(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_gen_writes_the_empty_network(tmp_path):
+    out = tmp_path / "empty.json"
+    assert run(["gen", "--n", "0", "--out", str(out)]) == 0
+    net = hubnet.topology.load_network(out)
+    assert net.weights.shape == (0, 0) and net.coords.shape == (0, 3)
 
 
 def test_bad_flag_value_exits_2(tmp_path, capsys):

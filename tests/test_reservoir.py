@@ -18,7 +18,7 @@ from hubnet.reservoir import (
     spectral_radius,
     stream_readout,
 )
-from hubnet.tasks import MackeyGlassConfig, NarmaConfig
+from hubnet.tasks import MackeyGlassConfig, NarmaConfig, make_one_step_dataset
 from hubnet.topology import Network, TopologyConfig
 
 
@@ -48,13 +48,17 @@ TOPOLOGY_FLOATS = ("density", "alpha", "beta", "lambda_dc", "lambda_nc",
 
 # a NaN passes the "< 0" range checks, and NaN or infinite lambdas or
 # exponents used to prune a hub network uniformly under a "hub" config; a
-# bool, as a JSON true, used to load as 1.0
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, True])
+# bool, as a JSON true, used to load as 1.0, and a string to fail late with
+# a raw TypeError
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, True, "x"])
 @pytest.mark.parametrize("config, field", [(TopologyConfig, f) for f in TOPOLOGY_FLOATS]
-                         + [(EsnConfig, "spec_rad"), (EsnConfig, "r_sig")])
+                         + [(EsnConfig, "spec_rad"), (EsnConfig, "r_sig")]
+                         + [(MackeyGlassConfig, f) for f in ("beta_m", "gamma_m", "k", "dt", "x0")]
+                         + [(NarmaConfig, f) for f in ("alpha_n", "beta_n", "gamma_n", "delta_n")])
 def test_configs_reject_non_finite_floats(config, field, value):
+    size = {"n": 50} if config in (TopologyConfig, EsnConfig) else {}
     with pytest.raises(HubnetError, match=field):
-        config(n=50, **{field: value})
+        config(**size, **{field: value})
 
 
 # each used to fail late with a raw TypeError, or to pass silently
@@ -72,6 +76,11 @@ def test_configs_reject_non_finite_floats(config, field, value):
     (lambda: MackeyGlassConfig(transient=0.5), "transient"),
     (lambda: NarmaConfig(length=10.5), "length"),
     (lambda: NarmaConfig(l=10.0), "l"),
+    (lambda: NarmaConfig(length=50, seed=1.5), "seed"),
+    pytest.param(lambda: make_one_step_dataset(np.arange(20.0), 10.5, 3), "n_train",
+                 id="one-step-n_train"),
+    (lambda: make_one_step_dataset(np.arange(20.0), 10, True), "n_test"),
+    (lambda: bench.run_experiment([("narma10", "esn", 20, 30, 10)], 1, 0, jobs=1.5), "jobs"),
     (lambda: bench.run_experiment([("narma10", "esn", 20, 30, 10)], 1.5, 0), "repeats"),
     (lambda: bench.TrialSpec("mackey_glass", "esn", 20, 2.5, 10), "n_train"),
     (lambda: bench.TrialSpec("narma10", "esn", 20, 30, 10, base_seed=1.5), "base_seed"),

@@ -86,6 +86,8 @@ def test_mackey_glass_config_validation():
         MackeyGlassConfig(tau=0)
     with pytest.raises(ValueError):
         MackeyGlassConfig(transient=-1)
+    with pytest.raises(HubnetError, match="seed must be nonnegative"):
+        NarmaConfig(seed=-1)
 
 
 def test_narma_recursion_warmup_and_fixed_point():
@@ -138,6 +140,8 @@ def test_make_one_step_dataset_alignment():
     assert np.array_equal(test.targets[:, 0], np.array([7.0, 8.0, 9.0]))
     with pytest.raises(HubnetError, match=r"need n_train \+ n_test \+ 1 <= 10 values"):
         make_one_step_dataset(series, 6, 4)
+    with pytest.raises(HubnetError, match="n_train must be nonnegative"):
+        make_one_step_dataset(series, -1, 3)
 
 
 def _toy_images(count=3):
@@ -199,7 +203,8 @@ def test_mnist_sequences_column_scan(write_idx):
     assert np.array_equal(inputs[1, 27], data.images[2][:, 27])
     assert np.array_equal(onehot.sum(axis=1), [1.0, 1.0])
     assert onehot[0, labels[1]] == 1.0 and onehot[1, labels[2]] == 1.0
-    # numpy indexing would wrap -1 to the last image
-    for bad in ([3], [0, -1]):
-        with pytest.raises(HubnetError, match="outside 0..2"):
+    # numpy indexing would wrap -1 to the last image, and a cast to int
+    # select image 1 for 1.7
+    for bad in ([3], [0, -1], [1.7]):
+        with pytest.raises(HubnetError, match="not an integer in 0..2"):
             mnist_sequences(data, bad)

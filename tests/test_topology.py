@@ -433,6 +433,41 @@ def test_network_json_rejects_any_other_key_set(net, data):
         network_from_dict(json.loads(json.dumps(doc)))
 
 
+# every kind of JSON scalar, with small integers that hit valid indices
+JSON_SCALARS = (st.none() | st.booleans() | st.integers(min_value=-2, max_value=42)
+                | st.integers() | st.floats() | st.text(max_size=3)
+                | st.sampled_from(["1", "0.5"]))
+
+
+def as_read(x):
+    """A JSON number as the double a JSON reader takes it for; None for any other value."""
+    return float(x) if type(x) in (int, float) else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(net=networks, data=st.data())
+def test_network_json_loads_a_mutated_document_only_if_it_round_trips(net, data):
+    doc = network_to_dict(net)
+    part = data.draw(st.sampled_from([k for k in ("config", "coords", "edges") if doc[k]]),
+                     label="part")
+    if part == "config":
+        key = data.draw(st.sampled_from(sorted(doc["config"])), label="key")
+        doc["config"][key] = data.draw(JSON_SCALARS, label="value")
+    else:
+        row = doc[part][data.draw(st.integers(0, len(doc[part]) - 1), label="row")]
+        row[data.draw(st.integers(0, 2), label="column")] = data.draw(JSON_SCALARS, label="value")
+    doc = json.loads(json.dumps(doc))
+    try:
+        loaded = network_from_dict(doc)
+    except HubnetError:
+        return
+    saved = json.loads(json.dumps(network_to_dict(loaded)))
+    assert saved["config"] == doc["config"]
+    assert saved["coords"] == [[as_read(x) for x in row] for row in doc["coords"]]
+    assert (sorted(tuple(e) for e in saved["edges"])
+            == sorted(tuple(as_read(x) for x in e) for e in doc["edges"]))
+
+
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(min_value=2, max_value=60),
        density=st.floats(min_value=0.01, max_value=1.0),
