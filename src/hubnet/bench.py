@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import os
 import time
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .tasks import (
     MnistData,
     NarmaConfig,
     mackey_glass,
-    make_one_step_dataset,
     mnist_sequences,
     narma10,
 )
@@ -48,6 +47,7 @@ __all__ = [
     "run_trial",
     "run_experiment",
     "aggregate",
+    "write_csv",
     "write_results_csv",
     "write_aggregate_csv",
     "dataset_seed",
@@ -179,16 +179,20 @@ def majority_vote_accuracy(step_scores, labels) -> float:
 
 
 def _time_series_split(spec: TrialSpec):
+    """Train inputs and targets, then test inputs and targets, each (rows, 1).
+
+    Both tasks make ``n_train + n_test`` aligned pairs and split them at
+    ``n_train``: Mackey-Glass pairs series[t] with series[t + 1], one step
+    ahead, and NARMA10 pairs u(t) with x(t + 1).
+    """
+    length = spec.n_train + spec.n_test
     if spec.task == "mackey_glass":
-        mg = MackeyGlassConfig(length=spec.n_train + spec.n_test + 1)
-        _, series = mackey_glass(mg)
-        train, test = make_one_step_dataset(series, spec.n_train, spec.n_test)
-        return train.inputs, train.targets, test.inputs, test.targets
-    # NARMA pairs input u(t) with target x(t+1); no shifted-series split
-    ds = narma10(NarmaConfig(length=spec.n_train + spec.n_test, seed=spec.dataset_seed))
-    return (ds.inputs[: spec.n_train], ds.targets[: spec.n_train],
-            ds.inputs[spec.n_train: spec.n_train + spec.n_test],
-            ds.targets[spec.n_train: spec.n_train + spec.n_test])
+        _, series = mackey_glass(MackeyGlassConfig(length=length + 1))
+        inputs, targets = series[:-1, None], series[1:, None]
+    else:
+        inputs, targets = narma10(NarmaConfig(length=length, seed=spec.dataset_seed))
+    k = spec.n_train
+    return inputs[:k], targets[:k], inputs[k:], targets[k:]
 
 
 def _mnist_steps(esn, mnist: MnistData, indices: np.ndarray):
@@ -231,8 +235,6 @@ def _mnist_readout(esn, mnist: MnistData, train_idx: np.ndarray):
     again and sums ``col_abs`` afresh, to the same bits.
     """
     washout = esn.config.washout
-    if washout >= mnist.images.shape[2]:
-        raise HubnetError("washout leaves no rows to fit")
     col_abs = np.zeros(esn.n)
 
     def blocks():
@@ -259,14 +261,16 @@ def esn_config(spec: TrialSpec, overrides: dict | None = None) -> EsnConfig:
     """The reservoir config of one trial.
 
     ``overrides`` sets any ``TopologyConfig`` or ``EsnConfig`` field by
-    name; a name that neither has is a ``HubnetError``.
+    name; a name that neither has is a ``HubnetError``, and so is a
+    washout that drops every training step of a sequence: all
+    ``n_train`` of a time series, or all 28 columns of an MNIST image.
     """
     esn = dict(overrides or {})
     unknown = sorted(set(esn) - _SETTINGS)
     if unknown:
         raise HubnetError(f"no setting is named {unknown[0]!r}")
     topo = {k: esn.pop(k) for k in _TOPOLOGY_FIELDS & set(esn)}
-    return EsnConfig(**{
+    cfg = EsnConfig(**{
         "n": spec.n,
         "input_dim": 28 if spec.task == "mnist" else 1,
         "injection": "hub" if spec.model == "hubesn" else "random",
@@ -279,6 +283,9 @@ def esn_config(spec: TrialSpec, overrides: dict | None = None) -> EsnConfig:
         }),
         **esn,
     })
+    if cfg.washout >= (28 if spec.task == "mnist" else spec.n_train):
+        raise HubnetError("washout leaves no rows to fit")
+    return cfg
 
 
 def readout_analysis(spec: TrialSpec, overrides: dict | None = None,
@@ -398,41 +405,36 @@ def aggregate(results: list[TrialResult]) -> list[AggregateResult]:
     return out
 
 
-def _fmt(x) -> str:
+def format_value(x) -> str:
+    """A table cell or printed value: a float to 17 significant digits, None as ""."""
     if x is None:
         return ""
     return f"{x:.17g}" if isinstance(x, float) else str(x)
 
 
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and then ``rows`` as CSV, every cell through ``format_value``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([format_value(x) for x in row] for row in rows)
+
+
 RESULT_COLUMNS = ["task", "model", "n", "n_train", "n_test", "trial", "seed",
                   "score", "degree_weight_r", "wall_time_s"]
 
-AGGREGATE_COLUMNS = ["task", "model", "n", "n_train", "mean", "sd", "count",
-                     "ratio_to_esn_mean_of_ratios", "ratio_to_esn_ratio_of_means"]
+AGGREGATE_COLUMNS = [f.name for f in fields(AggregateResult)]
 
 
 def write_results_csv(results: list[TrialResult], path,
                       include_wall_time: bool = True) -> None:
     """Per-trial CSV; wall time can be omitted for byte-reproducible output."""
     cols = RESULT_COLUMNS if include_wall_time else RESULT_COLUMNS[:-1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for r in results:
-            row = [r.spec.task, r.spec.model, r.spec.n, r.spec.n_train,
-                   r.spec.n_test, r.spec.trial_index, r.spec.dataset_seed,
-                   _fmt(r.score), _fmt(r.degree_weight_r)]
-            if include_wall_time:
-                row.append(_fmt(r.wall_time))
-            writer.writerow(row)
+    write_csv(path, cols, ([r.spec.task, r.spec.model, r.spec.n, r.spec.n_train,
+                            r.spec.n_test, r.spec.trial_index, r.spec.dataset_seed,
+                            r.score, r.degree_weight_r, r.wall_time][:len(cols)]
+                           for r in results))
 
 
 def write_aggregate_csv(aggregates: list[AggregateResult], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(AGGREGATE_COLUMNS)
-        for a in aggregates:
-            writer.writerow([a.task, a.model, a.n, a.n_train, _fmt(a.mean),
-                             _fmt(a.sd), a.count,
-                             _fmt(a.ratio_to_esn_mean_of_ratios),
-                             _fmt(a.ratio_to_esn_ratio_of_means)])
+    write_csv(path, AGGREGATE_COLUMNS, (astuple(a) for a in aggregates))

@@ -30,7 +30,10 @@ TASK_FLAG_TO_NAME = {name.replace("_", "-"): name for name in bench_mod.TASKS}
 MODEL_FLAG_TO_NAME = {name.replace("_", "-"): name for name in bench_mod.MODELS}
 
 # the help of each flag that sets a config field, by field name; its type,
-# default and valid range are the field's own
+# default and valid range are the field's own.  The recurrent weight
+# variance is a gen flag only: a trial rescales the weights to its
+# spectral radius, and its regularizer term to unit maximum, which
+# cancel that variance
 TOPOLOGY_FLAGS = {
     "density": "fraction of off-diagonal edges retained",
     "alpha": "distance-constraint exponent",
@@ -38,7 +41,6 @@ TOPOLOGY_FLAGS = {
     "lambda_dc": "distance-constraint weight",
     "lambda_nc": "index-sum-constraint weight",
     "lambda_reg": "random-regularizer weight",
-    "weight_sigma2": "recurrent weight variance",
 }
 ESN_FLAGS = {
     "spec_rad": "spectral radius of the recurrent matrix",
@@ -50,6 +52,8 @@ TRIAL_FLAGS = {
     "n_train": "training steps (images for mnist)",
     "n_test": "test steps (images for mnist)",
 }
+GEN_FLAGS = {"n": TRIAL_FLAGS["n"], **TOPOLOGY_FLAGS,
+             "weight_sigma2": "recurrent weight variance"}
 
 
 class UsageError(Exception):
@@ -101,7 +105,7 @@ def _seed_from_env() -> int:
 def cmd_gen(args) -> int:
     with _settings_checked():
         cfg = topology.TopologyConfig(mode=args.mode, seed=args.seed,
-                                      **_given(args, ["n", *TOPOLOGY_FLAGS]))
+                                      **_given(args, GEN_FLAGS))
     net = topology.generate_network(cfg)
     topology.save_network(net, args.out)
     return 0
@@ -117,12 +121,8 @@ def cmd_metrics(args) -> int:
     else:
         print(doc)
     if args.degrees_out:
-        degrees = netmetrics.node_degrees(net)
-        with open(args.degrees_out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["node", "degree"])
-            for i, d in enumerate(degrees):
-                writer.writerow([i, int(d)])
+        bench_mod.write_csv(args.degrees_out, ["node", "degree"],
+                            enumerate(netmetrics.node_degrees(net)))
     return 0
 
 
@@ -177,17 +177,12 @@ def cmd_bench(args) -> int:
 def cmd_analyze_readout(args) -> int:
     (spec,), overrides, mnist = _checked_run(args, [MODEL_FLAG_TO_NAME[args.model]])
     bundle = bench_mod.readout_analysis(spec, overrides=overrides, mnist=mnist)
-    esn = bundle["esn"]
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["neuron", "degree", "normalized_weight", "is_input"])
-        for i in range(esn.n):
-            writer.writerow([i, int(bundle["degrees"][i]),
-                             f"{bundle['w_norm'][i]:.17g}",
-                             int(esn.input_mask[i])])
-    r = bundle["degree_weight_r"]
-    print(f"pearson_r={'' if r is None else f'{r:.17g}'}")
-    print(f"score={bundle['score']:.17g}")
+    # str(np.bool_) is "True": the mask is written as 0 and 1
+    bench_mod.write_csv(args.out, ["neuron", "degree", "normalized_weight", "is_input"],
+                        zip(range(bundle["esn"].n), bundle["degrees"], bundle["w_norm"],
+                            bundle["esn"].input_mask.astype(int)))
+    print(f"pearson_r={bench_mod.format_value(bundle['degree_weight_r'])}")
+    print(f"score={bench_mod.format_value(bundle['score'])}")
     return 0
 
 
@@ -252,8 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a network and write it as JSON")
-    _add_config_flags(p_gen, topology.TopologyConfig,
-                      {"n": TRIAL_FLAGS["n"], **TOPOLOGY_FLAGS})
+    _add_config_flags(p_gen, topology.TopologyConfig, GEN_FLAGS)
     p_gen.add_argument("--mode", choices=["hub", "random"], default="hub")
     p_gen.add_argument("--seed", type=int)
     p_gen.add_argument("--out", required=True, help="output network JSON path")

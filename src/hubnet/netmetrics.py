@@ -9,8 +9,6 @@ binarized A matches the union graph used for degrees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import HubnetError
@@ -25,7 +23,6 @@ __all__ = [
     "unconnected_count",
     "degree_summary",
     "network_metrics",
-    "DegreeSummary",
 ]
 
 
@@ -184,29 +181,13 @@ def clustering_coefficient(net) -> float:
     return float(coeffs.mean())
 
 
-@dataclass
-class DegreeSummary:
-    mean: float
-    sd: float
-    skewness: float
-    bin_edges: np.ndarray
-    counts: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "sd": self.sd,
-            "skewness": self.skewness,
-            "bin_edges": self.bin_edges.tolist(),
-            "counts": self.counts.tolist(),
-        }
-
-
-def degree_summary(degrees: np.ndarray) -> DegreeSummary:
+def degree_summary(degrees: np.ndarray) -> dict:
     """Moments of the degree sample plus a fixed-width histogram.
 
-    Bin width follows the Freedman-Diaconis rule with a floor of 1.
-    Skewness is the population skewness, 0 by convention for SD = 0.
+    Returns the keys ``mean``, ``sd``, ``skewness``, ``bin_edges`` and
+    ``counts``, each a JSON value.  Bin width follows the Freedman-Diaconis
+    rule with a floor of 1.  Skewness is the population skewness, 0 by
+    convention for SD = 0.
     """
     d = np.asarray(degrees, dtype=float)
     if d.size == 0:
@@ -224,8 +205,8 @@ def degree_summary(degrees: np.ndarray) -> DegreeSummary:
     edges = lo + width * np.arange(n_bins + 1)
     edges[-1] = max(edges[-1], hi)  # make the last bin closed over the max
     counts, edges = np.histogram(d, bins=edges)
-    return DegreeSummary(mean=mean, sd=sd, skewness=skew,
-                         bin_edges=edges, counts=counts)
+    return {"mean": mean, "sd": sd, "skewness": skew,
+            "bin_edges": edges.tolist(), "counts": counts.tolist()}
 
 
 def network_metrics(net) -> dict:
@@ -237,5 +218,5 @@ def network_metrics(net) -> dict:
         "modularity": modularity(net, labels),
         "clustering": clustering_coefficient(net),
         "unconnected": int(np.count_nonzero(deg == 0)),
-        "degree_summary": degree_summary(deg).to_dict(),
+        "degree_summary": degree_summary(deg),
     }

@@ -66,8 +66,8 @@ class EsnConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_int("n", self.n)
-        check_int("input_dim", self.input_dim)
+        check_int("n", self.n, 1)
+        check_int("input_dim", self.input_dim, 1)
         check_int("washout", self.washout, 0)
         check_int("seed", self.seed, 0)
         check_float("r_sig", self.r_sig)

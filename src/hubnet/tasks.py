@@ -20,12 +20,10 @@ from .errors import HubnetError, check_float, check_int
 __all__ = [
     "MackeyGlassConfig",
     "NarmaConfig",
-    "Dataset",
     "MnistData",
     "mackey_glass",
     "narma10",
     "narma_recursion",
-    "make_one_step_dataset",
     "load_mnist",
     "mnist_sequences",
 ]
@@ -69,18 +67,6 @@ class NarmaConfig:
         check_int("seed", self.seed, 0)
         for name in ("alpha_n", "beta_n", "gamma_n", "delta_n"):
             check_float(name, getattr(self, name))
-
-
-@dataclass
-class Dataset:
-    """Aligned input/target sequences."""
-
-    inputs: np.ndarray
-    targets: np.ndarray
-
-    def __post_init__(self):
-        if self.inputs.shape[0] != self.targets.shape[0]:
-            raise HubnetError("inputs and targets must have equal row counts")
 
 
 @dataclass
@@ -153,8 +139,8 @@ def narma_recursion(u: np.ndarray, cfg: NarmaConfig) -> np.ndarray:
     return x
 
 
-def narma10(cfg: NarmaConfig) -> Dataset:
-    """NARMA dataset: inputs u(t) ~ U[0, 0.5], targets x(t+1).
+def narma10(cfg: NarmaConfig) -> tuple[np.ndarray, np.ndarray]:
+    """NARMA pairs ``(inputs, targets)``, each (length, 1): u(t) ~ U[0, 0.5] and x(t+1).
 
     Inputs are drawn from ``default_rng(cfg.seed)``.  A draw whose targets
     exceed 1e3 in magnitude is discarded and redrawn from the same stream,
@@ -165,34 +151,10 @@ def narma10(cfg: NarmaConfig) -> Dataset:
         u = rng.uniform(0.0, 0.5, size=cfg.length + 1)
         x = narma_recursion(u, cfg)
         if np.all(np.isfinite(x)) and np.abs(x).max() <= 1e3:
-            return Dataset(
-                inputs=u[: cfg.length, None],
-                targets=x[1: cfg.length + 1, None],
-            )
+            return u[: cfg.length, None], x[1: cfg.length + 1, None]
     raise HubnetError(
         f"{NARMA_MAX_ATTEMPTS} consecutive divergent NARMA draws; check the parameters"
     )
-
-
-def make_one_step_dataset(series: np.ndarray, n_train: int,
-                          n_test: int) -> tuple[Dataset, Dataset]:
-    """Split a series into teacher-forced one-step-ahead train/test pairs.
-
-    Pair t is (series[t] -> series[t+1]); train takes the first n_train
-    pairs and test the next n_test.  At evaluation time the test harvest
-    should continue from the final training state.
-    """
-    check_int("n_train", n_train, 0)
-    check_int("n_test", n_test, 0)
-    series = np.asarray(series, dtype=float).reshape(-1)
-    if n_train + n_test > series.shape[0] - 1:
-        raise HubnetError(f"need n_train + n_test + 1 <= {series.shape[0]} values")
-    inputs = series[:-1, None]
-    targets = series[1:, None]
-    train = Dataset(inputs=inputs[:n_train], targets=targets[:n_train])
-    test = Dataset(inputs=inputs[n_train: n_train + n_test],
-                   targets=targets[n_train: n_train + n_test])
-    return train, test
 
 
 def _open_maybe_gz(path):

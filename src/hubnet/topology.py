@@ -153,7 +153,8 @@ def prune_probabilities(
     importance (otherwise the index-sum term, which grows like n**2,
     swamps the distance term by orders of magnitude).  The result is
     normalized to sum to 1.  The regularizer uses absolute values so the
-    mass stays nonnegative.
+    mass stays nonnegative.  A total mass that is zero, or not finite
+    because a term overflowed, raises ``HubnetError``.
     """
     n = cfg.n
 
@@ -168,14 +169,17 @@ def prune_probabilities(
         term *= lam
         return term
 
-    # (lambda_dc A + lambda_nc B) + lambda_reg C, holding one term at a time
-    mass = scaled(c_d ** cfg.alpha, cfg.lambda_dc)
-    mass += scaled(c_n ** cfg.beta, cfg.lambda_nc)
-    mass += scaled(np.abs(r), cfg.lambda_reg)
-    total = mass.sum() if n > 0 else 0.0
-    if total <= 0.0:
+    # (lambda_dc A + lambda_nc B) + lambda_reg C, holding one term at a time;
+    # a term that overflows to inf turns the total into inf or NaN, which
+    # is refused below, so the warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        mass = scaled(c_d ** cfg.alpha, cfg.lambda_dc)
+        mass += scaled(c_n ** cfg.beta, cfg.lambda_nc)
+        mass += scaled(np.abs(r), cfg.lambda_reg)
+        total = mass.sum() if n > 0 else 0.0
+    if not 0.0 < total < np.inf:
         raise HubnetError(
-            "every deletable edge has zero pruning mass; "
+            "every deletable edge has zero pruning mass, or the mass overflows; "
             "check n, the lambdas, and the exponents"
         )
     mass /= total

@@ -47,6 +47,16 @@ def test_spec_validation():
             spec(task="narma10", **{field: value})
 
 
+# the spectral-radius rescale cancels the scale of the weights, and the
+# regularizer term is divided by its own maximum, so hubnet bench and
+# analyze-readout take no weight-variance flag
+@pytest.mark.parametrize("task", ["mackey_glass", "narma10"])
+def test_weight_variance_leaves_the_score(task):
+    s = spec("hubesn", task=task)
+    scores = [run_trial(s, {"weight_sigma2": v}).score for v in (1.0 / 3.0, 1.0, 7.0)]
+    assert scores == pytest.approx([scores[0]] * 3, rel=1e-10, abs=0.0)
+
+
 def test_dataset_seed_is_model_independent():
     assert spec("esn").dataset_seed == spec("hubesn").dataset_seed
     assert spec("esn").dataset_seed == spec("hubesn_rand").dataset_seed

@@ -176,6 +176,8 @@ def test_malformed_network_config_exits_1(tmp_path, capsys, corrupt):
     ["bench", "--n", "0"],
     ["bench", "--washout", "-1"],
     ["analyze-readout", "--trial", "-1"],
+    # a washout of n_train steps leaves no row to fit
+    ["bench", "--washout", "30"],
 ])
 def test_out_of_range_integer_flag_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "r.csv"
@@ -223,6 +225,8 @@ def test_out_of_range_float_flag_exits_2(tmp_path, capsys, argv):
     (["bench", "--n-test", "0"], "n_test must be >= 1, got 0"),
     (["analyze-readout", "--trial", "-1"], "trial_index must be nonnegative, got -1"),
     (["analyze-readout", "--r-sig", "2"], "r_sig must be in (0, 1], got 2.0"),
+    # an image has 28 columns, whatever n_train is
+    (["analyze-readout", "--washout", "28"], "washout leaves no rows to fit"),
 ])
 def test_settings_are_checked_before_any_file_is_read(tmp_path, capsys, argv, message):
     # the MNIST files do not exist, so reading them would exit 1
@@ -236,6 +240,22 @@ def test_settings_are_checked_before_any_file_is_read(tmp_path, capsys, argv, me
     assert run(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_gen_refuses_an_overflowing_pruning_mass(tmp_path, capsys):
+    out = tmp_path / "net.json"
+    assert run(["gen", "--n", "60", "--alpha", "1000", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["bench", "analyze-readout"])
+def test_weight_variance_is_a_gen_flag_only(tmp_path, command):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--task", "narma10", "--n", "20", "--n-train", "30",
+             "--weight-sigma2", "1", "--out", str(tmp_path / "r.csv")])
+    assert exc.value.code == 2
 
 
 def test_gen_writes_the_empty_network(tmp_path):

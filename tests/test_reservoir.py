@@ -18,7 +18,7 @@ from hubnet.reservoir import (
     spectral_radius,
     stream_readout,
 )
-from hubnet.tasks import MackeyGlassConfig, NarmaConfig, make_one_step_dataset
+from hubnet.tasks import MackeyGlassConfig, NarmaConfig
 from hubnet.topology import Network, TopologyConfig
 
 
@@ -35,6 +35,12 @@ def test_config_validation():
         EsnConfig(n=10, injection="center")
     with pytest.raises(ValueError):
         EsnConfig(n=10, washout=-1)
+    # a reservoir needs a node, and an input dimension for any input to reach it
+    with pytest.raises(HubnetError, match="^n must be >= 1, got 0$"):
+        EsnConfig(n=0)
+    for dim in (0, -1):
+        with pytest.raises(HubnetError, match=f"^input_dim must be >= 1, got {dim}$"):
+            EsnConfig(n=10, input_dim=dim)
     with pytest.raises(ValueError):
         EsnConfig(n=10, topology=TopologyConfig(n=11))
     # init_esn never reads topology.seed, so it may not disagree with seed
@@ -61,29 +67,35 @@ def test_configs_reject_non_finite_floats(config, field, value):
         config(**size, **{field: value})
 
 
-# each used to fail late with a raw TypeError, or to pass silently
+# each used to fail late with a raw TypeError, or to pass silently.  The
+# ids are explicit, so a case added for a field renames no other case;
+# they keep the names pytest first generated for them
 @pytest.mark.parametrize("call, name", [
-    (lambda: EsnConfig(n=10.5), "n"),
-    (lambda: EsnConfig(n=10, input_dim=2.0), "input_dim"),
-    (lambda: TopologyConfig(n=7.5), "n"),
-    (lambda: EsnConfig(n=True), "n"),
-    (lambda: TopologyConfig(n=3, seed="x"), "seed"),
-    (lambda: EsnConfig(n=10, seed=1.5), "seed"),
-    (lambda: EsnConfig(n=10, washout=1.5), "washout"),
-    (lambda: fit_readout(np.ones((6, 2)), np.ones(6), washout=1.5), "washout"),
-    (lambda: MackeyGlassConfig(length=10.5), "length"),
-    (lambda: MackeyGlassConfig(tau=17.0), "tau"),
-    (lambda: MackeyGlassConfig(transient=0.5), "transient"),
-    (lambda: NarmaConfig(length=10.5), "length"),
-    (lambda: NarmaConfig(l=10.0), "l"),
-    (lambda: NarmaConfig(length=50, seed=1.5), "seed"),
-    pytest.param(lambda: make_one_step_dataset(np.arange(20.0), 10.5, 3), "n_train",
-                 id="one-step-n_train"),
-    (lambda: make_one_step_dataset(np.arange(20.0), 10, True), "n_test"),
-    (lambda: bench.run_experiment([("narma10", "esn", 20, 30, 10)], 1, 0, jobs=1.5), "jobs"),
-    (lambda: bench.run_experiment([("narma10", "esn", 20, 30, 10)], 1.5, 0), "repeats"),
-    (lambda: bench.TrialSpec("mackey_glass", "esn", 20, 2.5, 10), "n_train"),
-    (lambda: bench.TrialSpec("narma10", "esn", 20, 30, 10, base_seed=1.5), "base_seed"),
+    pytest.param(lambda: EsnConfig(n=10.5), "n", id="<lambda>-n0"),
+    pytest.param(lambda: EsnConfig(n=10, input_dim=2.0), "input_dim", id="<lambda>-input_dim"),
+    pytest.param(lambda: TopologyConfig(n=7.5), "n", id="<lambda>-n1"),
+    pytest.param(lambda: EsnConfig(n=True), "n", id="<lambda>-n2"),
+    pytest.param(lambda: TopologyConfig(n=3, seed="x"), "seed", id="<lambda>-seed0"),
+    pytest.param(lambda: EsnConfig(n=10, seed=1.5), "seed", id="<lambda>-seed1"),
+    pytest.param(lambda: EsnConfig(n=10, washout=1.5), "washout", id="<lambda>-washout0"),
+    pytest.param(lambda: fit_readout(np.ones((6, 2)), np.ones(6), washout=1.5), "washout",
+                 id="<lambda>-washout1"),
+    pytest.param(lambda: MackeyGlassConfig(length=10.5), "length", id="<lambda>-length0"),
+    pytest.param(lambda: MackeyGlassConfig(tau=17.0), "tau", id="<lambda>-tau"),
+    pytest.param(lambda: MackeyGlassConfig(transient=0.5), "transient", id="<lambda>-transient"),
+    pytest.param(lambda: NarmaConfig(length=10.5), "length", id="<lambda>-length1"),
+    pytest.param(lambda: NarmaConfig(l=10.0), "l", id="<lambda>-l"),
+    pytest.param(lambda: NarmaConfig(length=50, seed=1.5), "seed", id="<lambda>-seed2"),
+    pytest.param(lambda: bench.run_experiment([("narma10", "esn", 20, 30, 10)], 1, 0, jobs=1.5),
+                 "jobs", id="<lambda>-jobs"),
+    pytest.param(lambda: bench.run_experiment([("narma10", "esn", 20, 30, 10)], 1.5, 0),
+                 "repeats", id="<lambda>-repeats"),
+    pytest.param(lambda: bench.TrialSpec("mackey_glass", "esn", 20, 2.5, 10), "n_train",
+                 id="<lambda>-n_train"),
+    pytest.param(lambda: bench.TrialSpec("mackey_glass", "esn", 20, 30, True), "n_test",
+                 id="<lambda>-n_test"),
+    pytest.param(lambda: bench.TrialSpec("narma10", "esn", 20, 30, 10, base_seed=1.5),
+                 "base_seed", id="<lambda>-base_seed"),
 ])
 def test_non_integer_sizes_are_rejected(call, name):
     with pytest.raises(HubnetError, match=f"^{name} must be an integer, got "):

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from hubnet.bench import TrialSpec, _time_series_split
 from hubnet.errors import HubnetError
 from hubnet.tasks import (
     MackeyGlassConfig,
     NarmaConfig,
     load_mnist,
     mackey_glass,
-    make_one_step_dataset,
     mnist_sequences,
     narma10,
     narma_recursion,
@@ -101,28 +101,28 @@ def test_narma_recursion_warmup_and_fixed_point():
 
 def test_narma10_dataset_shapes_and_alignment():
     cfg = NarmaConfig(length=400, seed=3)
-    ds = narma10(cfg)
-    assert ds.inputs.shape == (400, 1)
-    assert ds.targets.shape == (400, 1)
-    assert np.all(ds.inputs >= 0.0) and np.all(ds.inputs <= 0.5)
+    inputs, targets = narma10(cfg)
+    assert inputs.shape == (400, 1)
+    assert targets.shape == (400, 1)
+    assert np.all(inputs >= 0.0) and np.all(inputs <= 0.5)
     # target row t is x(t+1) for input u(t)
-    u = ds.inputs[:, 0]
+    u = inputs[:, 0]
     x_full = narma_recursion(np.append(u, 0.0), cfg)  # u(length) unused before t=length
-    assert np.allclose(ds.targets[:-1, 0], x_full[1:400])
+    assert np.allclose(targets[:-1, 0], x_full[1:400])
 
 
 def test_narma10_deterministic_per_seed():
-    a = narma10(NarmaConfig(length=200, seed=1))
-    b = narma10(NarmaConfig(length=200, seed=1))
-    c = narma10(NarmaConfig(length=200, seed=2))
-    assert np.array_equal(a.inputs, b.inputs)
-    assert not np.array_equal(a.inputs, c.inputs)
+    a, _ = narma10(NarmaConfig(length=200, seed=1))
+    b, _ = narma10(NarmaConfig(length=200, seed=1))
+    c, _ = narma10(NarmaConfig(length=200, seed=2))
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_narma10_bounded():
-    ds = narma10(NarmaConfig(length=3000, seed=0))
-    assert np.all(np.isfinite(ds.targets))
-    assert np.abs(ds.targets).max() <= 1e3
+    _, targets = narma10(NarmaConfig(length=3000, seed=0))
+    assert np.all(np.isfinite(targets))
+    assert np.abs(targets).max() <= 1e3
 
 
 def test_narma10_gives_up_on_divergent_parameters():
@@ -131,17 +131,23 @@ def test_narma10_gives_up_on_divergent_parameters():
         narma10(NarmaConfig(length=50, delta_n=2000.0))
 
 
-def test_make_one_step_dataset_alignment():
-    series = np.arange(10.0)
-    train, test = make_one_step_dataset(series, 6, 3)
-    assert np.array_equal(train.inputs[:, 0], np.arange(6.0))
-    assert np.array_equal(train.targets[:, 0], np.arange(1.0, 7.0))
-    assert np.array_equal(test.inputs[:, 0], np.array([6.0, 7.0, 8.0]))
-    assert np.array_equal(test.targets[:, 0], np.array([7.0, 8.0, 9.0]))
-    with pytest.raises(HubnetError, match=r"need n_train \+ n_test \+ 1 <= 10 values"):
-        make_one_step_dataset(series, 6, 4)
-    with pytest.raises(HubnetError, match="n_train must be nonnegative"):
-        make_one_step_dataset(series, -1, 3)
+def test_time_series_split_alignment():
+    # Mackey-Glass pair t is series[t] -> series[t + 1]: 6 train pairs,
+    # then the next 3, from a series of n_train + n_test + 1 values
+    spec = TrialSpec(task="mackey_glass", model="esn", n=5, n_train=6, n_test=3)
+    train_in, train_tg, test_in, test_tg = _time_series_split(spec)
+    _, series = mackey_glass(MackeyGlassConfig(length=10))
+    assert np.array_equal(train_in[:, 0], series[:6])
+    assert np.array_equal(train_tg[:, 0], series[1:7])
+    assert np.array_equal(test_in[:, 0], series[6:9])
+    assert np.array_equal(test_tg[:, 0], series[7:10])
+    # NARMA10 pairs split at the same row: the first 6 train, the next 3 test
+    spec = TrialSpec(task="narma10", model="esn", n=5, n_train=6, n_test=3)
+    train_in, train_tg, test_in, test_tg = _time_series_split(spec)
+    inputs, targets = narma10(NarmaConfig(length=9, seed=spec.dataset_seed))
+    assert np.array_equal(np.vstack([train_in, test_in]), inputs)
+    assert np.array_equal(np.vstack([train_tg, test_tg]), targets)
+    assert (train_in.shape, test_tg.shape) == ((6, 1), (3, 1))
 
 
 def _toy_images(count=3):

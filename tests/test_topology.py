@@ -87,6 +87,14 @@ def test_prune_probabilities_raise_when_all_mass_vanishes():
         prune_probabilities(zeros, zeros, zeros, cfg)
 
 
+# c_d ** alpha (or c_n ** beta) overflows to inf and the unit-maximum
+# scaling makes it NaN; a NaN total must not prune the network uniformly
+@pytest.mark.parametrize("exponent", [{"alpha": 1000.0}, {"beta": 400.0}])
+def test_prune_probabilities_refuse_an_overflowing_mass(exponent):
+    with pytest.raises(HubnetError, match="the mass overflows"):
+        generate_network(TopologyConfig(n=60, **exponent))
+
+
 def test_lambda_scale_invariance_is_bit_exact():
     # doubling every lambda rescales the mass by an exact power of two,
     # which the final normalization divides back out bit-for-bit
