@@ -64,10 +64,12 @@ _MASK64 = (1 << 64) - 1
 
 # images an MNIST trial runs through the reservoir at a time, in lockstep,
 # so no trial holds its whole state matrix.  Each recurrent step is one
-# 294-row gemm: against 147-image blocks, this took the median mnist-synth
-# op (n = 500, one BLAS thread, 2-vCPU VM) from 1.005 to 0.881 s, with the
-# states summed two steps at a time (10 runs each).  Blocks of 588 images
-# raised the traced peak of a 1,000-image n = 60 trial from 5.8 to 9.3 MB
+# 294-row gemm, and each step's states one 294-row in-place update of
+# S^T S.  Against 147-image blocks, this took the median mnist-synth op
+# (n = 500, one BLAS thread, 2-vCPU VM) from 1.005 to 0.881 s, with the
+# states summed two steps at a time; one step at a time, with the in-place
+# update, it takes 0.856 s.  Blocks of 588 images raised the traced peak of
+# a 1,000-image n = 60 trial from 5.8 to 9.3 MB
 BLOCK_IMAGES = 294
 
 

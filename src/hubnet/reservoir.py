@@ -10,6 +10,7 @@ mechanistic comparisons.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,31 @@ GRAM_EIG_RATIO = 1e-10
 # OpenBLAS runs a dgemv of this many matrix entries or more on several
 # threads (115200 * GEMM_MULTITHREAD_THRESHOLD, whose default is 4)
 _GEMV_THREAD_ENTRIES = 115_200 * 4
+
+
+def _numpy_dsyrk():
+    """The ILP64 ``cblas_dsyrk`` of the OpenBLAS numpy loaded, or None.
+
+    ``dlsym`` on the extension module that links BLAS searches that
+    library too.  Only the 64-bit-int names are taken, as the call passes
+    64-bit sizes.
+    """
+    try:
+        from numpy._core import _multiarray_umath
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except (ImportError, OSError):
+        return None
+    for name in ("scipy_cblas_dsyrk64_", "cblas_dsyrk64_"):
+        dsyrk = getattr(lib, name, None)
+        if dsyrk is not None:
+            i32, i64, dbl, ptr = ctypes.c_int, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+            dsyrk.argtypes = [i32, i32, i32, i64, i64, dbl, ptr, i64, dbl, ptr, i64]
+            dsyrk.restype = None
+            return dsyrk
+    return None
+
+
+_DSYRK = _numpy_dsyrk()
 
 
 @dataclass(frozen=True)
@@ -262,6 +288,22 @@ def _gram_solve(gram: np.ndarray, sty: np.ndarray) -> np.ndarray | None:
     return np.linalg.solve(gram, sty)
 
 
+def _add_gram(gram: np.ndarray, s: np.ndarray) -> None:
+    """Add S^T S to the upper triangle of ``gram``, in place.
+
+    ``gram`` and the block ``s`` are C-ordered float64.  With ``_DSYRK``,
+    one rank-k update C <- S^T S + C leaves the lower triangle as it was;
+    without it, ``s.T @ s`` is made, mirrored and added.
+    """
+    if _DSYRK is None:
+        gram += s.T @ s
+        return
+    ld = max(gram.shape[0], 1)
+    # CblasRowMajor, CblasUpper, CblasTrans: C (n x n) += A^T A, A (rows x n)
+    _DSYRK(101, 121, 112, s.shape[1], s.shape[0], 1.0, s.ctypes.data, ld, 1.0,
+           gram.ctypes.data, ld)
+
+
 def stream_readout(blocks, shape: tuple[int, int]) -> np.ndarray:
     """Minimum-norm least-squares readout of S and Y, given as row blocks.
 
@@ -271,7 +313,8 @@ def stream_readout(blocks, shape: tuple[int, int]) -> np.ndarray:
     here.  No block is referenced once the next is requested, so a
     generator of blocks keeps one block alive.
 
-    A first pass sums S^T S and S^T Y.  With at least as many rows as
+    A first pass sums S^T S, by a rank-k update of its upper triangle per
+    block, and S^T Y.  With at least as many rows as
     columns and, by ``eigvalsh``, lambda_min > 1e-10 * lambda_max
     (cond(S) < 1e5), it solves the normal equations with ``solve``:
     ``fit_readout``'s rcond cutoff of 1e-10 * sigma_max
@@ -297,13 +340,18 @@ def stream_readout(blocks, shape: tuple[int, int]) -> np.ndarray:
         rows += s.shape[0]
         if not np.isfinite(y).all():
             raise HubnetError("readout states and targets must be finite")
-        gram += s.T @ s
+        # dsyrk reads the block through a pointer, so any stride or dtype
+        # it was given would sum a wrong S^T S
+        s = np.ascontiguousarray(s, dtype=float)
+        _add_gram(gram, s)
         sty += s.T @ y
         # a block still referenced while the next one is made raised the
         # same peak RSS to 91 MB
         del s, y
     if rows < 1:
         raise HubnetError("washout leaves no rows to fit")
+    # _add_gram fills the upper triangle: mirror it once, after the pass
+    np.copyto(gram, gram.T, where=np.tri(n, k=-1, dtype=bool))
     # a non-finite state makes its diagonal entry of S^T S non-finite
     if 0 < n <= rows and np.isfinite(gram).all():
         w_out = _gram_solve(gram, sty)

@@ -313,6 +313,24 @@ def test_mnist_trial_fits_through_normal_equations(write_idx, monkeypatch):
     assert np.max(np.abs(gram["w_out"] - plain["w_out"])) <= 1e-9 * scale
 
 
+def test_mnist_trial_scores_the_same_without_dsyrk(monkeypatch):
+    data = synthetic_mnist(50, seed=3)
+    s = spec("esn", task="mnist", n=50, n_train=40, n_test=10)
+    solved, gram_solve = [], reservoir._gram_solve
+
+    def recording(gram, sty):
+        solved.append(gram_solve(gram, sty))
+        return solved[-1]
+
+    monkeypatch.setattr(reservoir, "_gram_solve", recording)
+    in_place = run_trial(s, mnist=data)
+    monkeypatch.setattr(reservoir, "_DSYRK", None)
+    fallback = run_trial(s, mnist=data)
+    assert len(solved) == 2 and all(w is not None for w in solved)  # both passed the gate
+    assert fallback.score == in_place.score
+    assert abs(fallback.degree_weight_r - in_place.degree_weight_r) <= 1e-9
+
+
 def reject_gram_solves(monkeypatch):
     """Make the one Gram gate reject, so every streamed fit takes the QR pass."""
     monkeypatch.setattr(reservoir, "_gram_solve", lambda gram, sty: None)

@@ -95,14 +95,24 @@ def test_size_guard_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cli_import_leaves_the_thread_pool_unimported():
-    # concurrent.futures pulls in logging; only ``bench --jobs N`` needs it
-    code = "import sys, hubnet.cli; print('concurrent.futures' in sys.modules)"
+def modules_after_cli_import():
+    """The names in ``sys.modules`` of a fresh interpreter that imported hubnet.cli."""
+    code = "import sys, hubnet.cli; print(*sys.modules)"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(hubnet.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True)
-    assert done.stdout == "False\n"
+    return done.stdout.split()
+
+
+def test_cli_import_leaves_the_thread_pool_unimported():
+    # concurrent.futures pulls in logging; only ``bench --jobs N`` needs it
+    assert "concurrent.futures" not in modules_after_cli_import()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test extra: importing it added 28 MB of RSS and 0.15 s
+    assert [m for m in modules_after_cli_import() if m.split(".")[0] == "scipy"] == []
 
 
 def test_missing_input_file_exits_1(tmp_path, capsys):

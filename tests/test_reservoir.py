@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hubnet import bench
+from hubnet import bench, reservoir
 from hubnet.errors import HubnetError
 from hubnet.netmetrics import node_degrees
 from hubnet.reservoir import (
@@ -440,6 +440,44 @@ def test_stream_readout_reduces_a_rejected_fit_to_r(kind, near_lstsq):
     w = stream_readout(blocks, (s.shape[1], 2))
     assert calls == [1, 1]  # the Gram pass, then the QR pass
     near_lstsq(w, s, y)
+
+
+@pytest.mark.parametrize("layout", ["F-ordered", "row-strided", "integer"])
+def test_stream_readout_sums_any_block_layout_as_c_ordered_floats(layout):
+    rng = np.random.default_rng(20)
+    s = {"F-ordered": np.asfortranarray(rng.normal(size=(300, 20))),
+         "row-strided": rng.normal(size=(600, 20))[::2],
+         "integer": rng.integers(-9, 10, size=(300, 20))}[layout]
+    y = rng.normal(size=(300, 3))
+    edges = [0, 100, 180, 300]
+    w = stream_readout(lambda: row_blocks(s, y, edges), (20, 3))
+    c_ordered = np.ascontiguousarray(s, dtype=float)
+    expected = stream_readout(lambda: row_blocks(c_ordered, y, edges), (20, 3))
+    assert np.array_equal(w, expected)
+
+
+@pytest.mark.skipif(reservoir._DSYRK is None, reason="numpy exports no ILP64 cblas_dsyrk")
+def test_add_gram_updates_the_upper_triangle_in_place():
+    s = np.random.default_rng(21).normal(size=(294, 40))
+    gram = np.ones((40, 40))
+    reservoir._add_gram(gram, s)
+    upper = np.triu_indices(40)
+    assert np.allclose(gram[upper], (s.T @ s + 1.0)[upper], rtol=1e-13, atol=0.0)
+    assert np.array_equal(np.tril(gram, -1), np.tril(np.ones((40, 40)), -1))
+
+
+def test_stream_readout_without_dsyrk_matches_the_in_place_fit(monkeypatch):
+    # 294-row blocks of an n = 500 state matrix, as one MNIST column step
+    rng = np.random.default_rng(22)
+    s = np.tanh(rng.normal(size=(4 * 294, 500)))
+    y = rng.normal(size=(4 * 294, 10))
+    edges = [0, 294, 588, 882, 1176]
+    in_place = stream_readout(lambda: row_blocks(s, y, edges), (500, 10))
+    monkeypatch.setattr(reservoir, "_DSYRK", None)
+    blocks, calls = counting_blocks(s, y, edges)
+    fallback = stream_readout(blocks, (500, 10))
+    assert calls == [1]  # the Gram gate accepted both
+    assert np.max(np.abs(fallback - in_place)) <= 1e-12 * np.max(np.abs(in_place))
 
 
 def test_stream_readout_errors():
