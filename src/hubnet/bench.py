@@ -50,8 +50,6 @@ __all__ = [
     "write_csv",
     "write_results_csv",
     "write_aggregate_csv",
-    "dataset_seed",
-    "model_seed",
 ]
 
 TASKS = ("mackey_glass", "narma10", "mnist")
@@ -88,17 +86,6 @@ def _mix(*values: int) -> int:
     return h
 
 
-def dataset_seed(base_seed: int, task: str, n_train: int, trial_index: int) -> int:
-    """Seed for the trial's dataset stream; model-independent by design."""
-    return _mix(base_seed, _TASK_ID[task], n_train, trial_index)
-
-
-def model_seed(base_seed: int, task: str, n_train: int, trial_index: int,
-               model: str) -> int:
-    """Seed for model construction; mixes a model id on top of the dataset seed."""
-    return _mix(base_seed, _TASK_ID[task], n_train, trial_index, _MODEL_ID[model])
-
-
 @dataclass(frozen=True)
 class TrialSpec:
     task: str
@@ -120,12 +107,12 @@ class TrialSpec:
 
     @property
     def dataset_seed(self) -> int:
-        return dataset_seed(self.base_seed, self.task, self.n_train, self.trial_index)
+        return _mix(self.base_seed, _TASK_ID[self.task], self.n_train, self.trial_index)
 
     @property
     def model_seed(self) -> int:
-        return model_seed(self.base_seed, self.task, self.n_train,
-                          self.trial_index, self.model)
+        return _mix(self.base_seed, _TASK_ID[self.task], self.n_train, self.trial_index,
+                    _MODEL_ID[self.model])
 
 
 @dataclass
@@ -255,23 +242,37 @@ def _mnist_step_scores(esn, mnist: MnistData, test_idx: np.ndarray,
     return step_scores
 
 
-_TOPOLOGY_FIELDS = {f.name for f in fields(TopologyConfig)}
-_SETTINGS = _TOPOLOGY_FIELDS | {f.name for f in fields(EsnConfig)}
+# the run settings, the only fields overrides may set, with their flags'
+# help.  A trial sets n, seed, mode, injection, input_dim and topology
+# itself, and its spectral rescale cancels the weight variance
+TOPOLOGY_FLAGS = {
+    "density": "fraction of off-diagonal edges retained",
+    "alpha": "distance-constraint exponent",
+    "beta": "index-sum-constraint exponent",
+    "lambda_dc": "distance-constraint weight",
+    "lambda_nc": "index-sum-constraint weight",
+    "lambda_reg": "random-regularizer weight",
+}
+ESN_FLAGS = {
+    "spec_rad": "spectral radius of the recurrent matrix",
+    "r_sig": "fraction of neurons receiving input",
+    "washout": "initial states discarded before fitting",
+}
 
 
 def esn_config(spec: TrialSpec, overrides: dict | None = None) -> EsnConfig:
     """The reservoir config of one trial.
 
-    ``overrides`` sets any ``TopologyConfig`` or ``EsnConfig`` field by
-    name; a name that neither has is a ``HubnetError``, and so is a
-    washout that drops every training step of a sequence: all
+    ``overrides`` sets run settings, the ``TOPOLOGY_FLAGS`` and
+    ``ESN_FLAGS`` fields, by name; any other name is a ``HubnetError``,
+    and so is a washout that drops every training step of a sequence: all
     ``n_train`` of a time series, or all 28 columns of an MNIST image.
     """
     esn = dict(overrides or {})
-    unknown = sorted(set(esn) - _SETTINGS)
+    unknown = sorted(set(esn) - {*TOPOLOGY_FLAGS, *ESN_FLAGS})
     if unknown:
         raise HubnetError(f"no setting is named {unknown[0]!r}")
-    topo = {k: esn.pop(k) for k in _TOPOLOGY_FIELDS & set(esn)}
+    topo = {k: esn.pop(k) for k in TOPOLOGY_FLAGS if k in esn}
     cfg = EsnConfig(**{
         "n": spec.n,
         "input_dim": 28 if spec.task == "mnist" else 1,
@@ -315,7 +316,8 @@ def readout_analysis(spec: TrialSpec, overrides: dict | None = None,
         train_in, train_tg, test_in, test_tg = _time_series_split(spec)
         esn = init_esn(cfg)
         train_states = harvest(esn, train_in)
-        w_out = fit_readout(train_states, train_tg, washout=cfg.washout)
+        # the washout leaves the fit, not col_abs, which sums every state
+        w_out = fit_readout(train_states[cfg.washout:], train_tg[cfg.washout:])
         # |S| overwrites the train states, which are dropped before the
         # test states are harvested from the last one
         s0 = train_states[-1].copy()
@@ -324,7 +326,7 @@ def readout_analysis(spec: TrialSpec, overrides: dict | None = None,
         score = rmse(harvest(esn, test_in, s0=s0) @ w_out, test_tg)
 
     w_norm = normalized_readout_weights(w_out, col_abs)
-    degrees = node_degrees(esn.network)
+    degrees = node_degrees(esn.w_rec)
     return {
         "esn": esn,
         "w_out": w_out,

@@ -30,29 +30,15 @@ TASK_FLAG_TO_NAME = {name.replace("_", "-"): name for name in bench_mod.TASKS}
 MODEL_FLAG_TO_NAME = {name.replace("_", "-"): name for name in bench_mod.MODELS}
 
 # the help of each flag that sets a config field, by field name; its type,
-# default and valid range are the field's own.  The recurrent weight
-# variance is a gen flag only: a trial rescales the weights to its
-# spectral radius, and its regularizer term to unit maximum, which
-# cancel that variance
-TOPOLOGY_FLAGS = {
-    "density": "fraction of off-diagonal edges retained",
-    "alpha": "distance-constraint exponent",
-    "beta": "index-sum-constraint exponent",
-    "lambda_dc": "distance-constraint weight",
-    "lambda_nc": "index-sum-constraint weight",
-    "lambda_reg": "random-regularizer weight",
-}
-ESN_FLAGS = {
-    "spec_rad": "spectral radius of the recurrent matrix",
-    "r_sig": "fraction of neurons receiving input",
-    "washout": "initial states discarded before fitting",
-}
+# default and valid range are the field's own.  The run settings'
+# flags are bench's TOPOLOGY_FLAGS and ESN_FLAGS; the recurrent weight
+# variance, which a trial's spectral rescale cancels, is a gen flag only
 TRIAL_FLAGS = {
     "n": "node count",
     "n_train": "training steps (images for mnist)",
     "n_test": "test steps (images for mnist)",
 }
-GEN_FLAGS = {"n": TRIAL_FLAGS["n"], **TOPOLOGY_FLAGS,
+GEN_FLAGS = {"n": TRIAL_FLAGS["n"], **bench_mod.TOPOLOGY_FLAGS,
              "weight_sigma2": "recurrent weight variance"}
 
 
@@ -132,7 +118,7 @@ def _checked_run(args, models: list[str]):
     Every setting is checked, as a usage error, before a file is read;
     the trials of a model differ only in their seeds.
     """
-    overrides = _given(args, [*TOPOLOGY_FLAGS, *ESN_FLAGS])
+    overrides = _given(args, [*bench_mod.TOPOLOGY_FLAGS, *bench_mod.ESN_FLAGS])
     with _settings_checked():
         specs = [bench_mod.TrialSpec(task=TASK_FLAG_TO_NAME[args.task], model=m,
                                      base_seed=args.seed,
@@ -268,8 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--model", choices=sorted(MODEL_FLAG_TO_NAME),
                            default="hubesn")
         _add_config_flags(p, bench_mod.TrialSpec, TRIAL_FLAGS)
-        _add_config_flags(p, topology.TopologyConfig, TOPOLOGY_FLAGS)
-        _add_config_flags(p, EsnConfig, ESN_FLAGS)
+        _add_config_flags(p, topology.TopologyConfig, bench_mod.TOPOLOGY_FLAGS)
+        _add_config_flags(p, EsnConfig, bench_mod.ESN_FLAGS)
         p.add_argument("--seed", type=int)
         p.add_argument("--mnist-images", help="IDX image file (.gz ok)")
         p.add_argument("--mnist-labels", help="IDX label file (.gz ok)")

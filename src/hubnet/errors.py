@@ -4,6 +4,8 @@ import numbers
 import os
 import sys
 
+import numpy as np
+
 
 class HubnetError(ValueError):
     """Invalid input or a computation that is undefined for it.
@@ -50,3 +52,10 @@ def check_float(name: str, value) -> None:
     if isinstance(value, bool) or not (isinstance(value, numbers.Real)
                                        and abs(value) <= sys.float_info.max):
         raise HubnetError(f"{name} must be a finite number, got {value!r}")
+
+
+def check_indices(what: str, idx: np.ndarray, size: int) -> None:
+    """Raise ``HubnetError`` naming the first entry of ``idx`` not an integer in 0..size - 1."""
+    bad = ~((idx >= 0) & (idx < size) & (idx == np.floor(idx)))
+    if bad.any():
+        raise HubnetError(f"{what} {idx[bad][0]:g} is not an integer in 0..{size - 1}")

@@ -52,6 +52,8 @@ def node_degrees(net) -> np.ndarray:
 def heterogeneity_cv(degrees: np.ndarray) -> float:
     """Coefficient of variation (population SD / mean) of nodal degree."""
     degrees = np.asarray(degrees, dtype=float)
+    if degrees.size == 0:
+        raise HubnetError("degree vector must be nonempty")
     mean = degrees.mean()
     if mean <= 0.0:
         raise HubnetError("mean degree is zero; CV undefined")

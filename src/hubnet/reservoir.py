@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import HubnetError, check_float, check_int
 from .netmetrics import node_degrees
-from .topology import Network, TopologyConfig, generate_network
+from .topology import TopologyConfig, generate_network
 
 __all__ = [
     "EsnConfig",
@@ -119,12 +119,11 @@ class EsnConfig:
 
 @dataclass
 class Esn:
-    """Initialized reservoir; immutable after construction."""
+    """Initialized reservoir, immutable; ``w_rec`` keeps its network's zero pattern."""
 
     w_in: np.ndarray
     w_rec: np.ndarray
     input_mask: np.ndarray
-    network: Network
     config: EsnConfig
 
     @property
@@ -170,7 +169,7 @@ def init_esn(cfg: EsnConfig) -> Esn:
     mask = np.zeros(cfg.n, dtype=bool)
     mask[chosen] = True
     w_in[~mask] = 0.0
-    return Esn(w_in=w_in, w_rec=w_rec, input_mask=mask, network=network, config=cfg)
+    return Esn(w_in=w_in, w_rec=w_rec, input_mask=mask, config=cfg)
 
 
 def _checked_inputs(esn: Esn, inputs, s0) -> tuple[np.ndarray, np.ndarray | None, int]:
@@ -369,24 +368,21 @@ def stream_readout(blocks, shape: tuple[int, int]) -> np.ndarray:
     return fit_readout(r[:, :n], r[:, n:])
 
 
-def fit_readout(states: np.ndarray, targets: np.ndarray, washout: int = 0) -> np.ndarray:
+def fit_readout(states: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Minimum-norm least-squares readout on the harvested states.
 
-    Rows before ``washout`` are dropped, then the fit is
-    ``lstsq(states, targets, rcond=1e-10)``, which cuts singular values
-    below 1e-10 * sigma_max.
+    The fit is ``lstsq(states, targets, rcond=1e-10)``, which cuts singular
+    values below 1e-10 * sigma_max; the caller drops any washout rows.
     """
-    check_int("washout", washout, 0)
     states = np.asarray(states, dtype=float)
     targets = np.asarray(targets, dtype=float)
     if states.ndim != 2 or targets.ndim not in (1, 2):
         raise HubnetError(f"states must be 2-D and targets 1-D or 2-D, "
                           f"got {states.ndim}-D and {targets.ndim}-D")
-    states, targets = states[washout:], targets[washout:]
     if len(states) != len(targets):
         raise HubnetError(f"{len(states)} state rows vs {len(targets)} target rows")
     if len(states) < 1:
-        raise HubnetError("washout leaves no rows to fit")
+        raise HubnetError("no rows to fit")
     if not (np.isfinite(states).all() and np.isfinite(targets).all()):
         raise HubnetError("readout states and targets must be finite")
     return np.linalg.lstsq(states, targets, rcond=1e-10)[0]

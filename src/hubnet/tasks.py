@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HubnetError, check_float, check_int
+from .errors import HubnetError, check_float, check_indices, check_int
 
 __all__ = [
     "MackeyGlassConfig",
@@ -203,9 +203,7 @@ def mnist_sequences(data: MnistData, indices) -> tuple[np.ndarray, np.ndarray]:
     """
     idx = np.asarray(indices, dtype=float).reshape(-1)
     # fancy indexing would wrap a negative index, and a cast truncate a fraction
-    bad = ~((idx >= 0) & (idx < data.count) & (idx == np.floor(idx)))
-    if bad.any():
-        raise HubnetError(f"image index {idx[bad][0]:g} is not an integer in 0..{data.count - 1}")
+    check_indices("image index", idx, data.count)
     idx = idx.astype(int)
     inputs = np.ascontiguousarray(data.images[idx].transpose(0, 2, 1))
     onehot = np.zeros((idx.size, 10))

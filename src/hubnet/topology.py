@@ -14,7 +14,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import HubnetError, check_float, check_int, check_memory
+from .errors import HubnetError, check_float, check_indices, check_int, check_memory
 
 __all__ = [
     "TopologyConfig",
@@ -301,10 +301,8 @@ def edges_to_dense(triples: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     measure counts or poison results.
     """
     rows, cols, values = triples.T
-    for idx, size, what in ((rows, shape[0], "row"), (cols, shape[1], "column")):
-        bad = ~((idx >= 0) & (idx < size) & (idx == np.floor(idx)))
-        if bad.any():
-            raise HubnetError(f"edge {what} {idx[bad][0]:g} is not an integer in 0..{size - 1}")
+    check_indices("edge row", rows, shape[0])
+    check_indices("edge column", cols, shape[1])
     if not (np.isfinite(values) & (values != 0) & (rows != cols)).all():
         raise HubnetError("every edge must join two nodes by a finite nonzero weight")
     flat = rows.astype(int) * shape[1] + cols.astype(int)

@@ -1,5 +1,6 @@
 import csv
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,10 +11,8 @@ from hubnet.bench import (
     TrialResult,
     TrialSpec,
     aggregate,
-    dataset_seed,
     esn_config,
     majority_vote_accuracy,
-    model_seed,
     readout_analysis,
     rmse,
     run_experiment,
@@ -23,6 +22,7 @@ from hubnet.bench import (
 )
 from hubnet.errors import HubnetError
 from hubnet.tasks import MnistData, load_mnist, mnist_sequences
+from hubnet.topology import TopologyConfig
 
 SMALL = dict(n=30, n_train=60, n_test=20)
 
@@ -48,13 +48,18 @@ def test_spec_validation():
 
 
 # the spectral-radius rescale cancels the scale of the weights, and the
-# regularizer term is divided by its own maximum, so hubnet bench and
-# analyze-readout take no weight-variance flag
+# regularizer term is divided by its own maximum, so the weight variance
+# is no run setting
 @pytest.mark.parametrize("task", ["mackey_glass", "narma10"])
-def test_weight_variance_leaves_the_score(task):
-    s = spec("hubesn", task=task)
-    scores = [run_trial(s, {"weight_sigma2": v}).score for v in (1.0 / 3.0, 1.0, 7.0)]
-    assert scores == pytest.approx([scores[0]] * 3, rel=1e-10, abs=0.0)
+def test_weight_variance_leaves_the_reservoir(task):
+    cfg = esn_config(spec("hubesn", task=task))
+    base, *others = [
+        reservoir.init_esn(replace(cfg, topology=replace(cfg.topology, weight_sigma2=v)))
+        for v in (1.0 / 3.0, 1.0, 7.0)]
+    for esn in others:
+        assert np.array_equal(esn.input_mask, base.input_mask)
+        assert np.array_equal(esn.w_rec != 0.0, base.w_rec != 0.0)
+        assert np.max(np.abs(esn.w_rec - base.w_rec)) <= 1e-14 * np.max(np.abs(base.w_rec))
 
 
 def test_dataset_seed_is_model_independent():
@@ -67,8 +72,9 @@ def test_dataset_seed_is_model_independent():
 def test_model_seeds_differ_across_models():
     seeds = {spec(m).model_seed for m in ("esn", "hubesn", "hubesn_rand")}
     assert len(seeds) == 3
-    assert dataset_seed(0, "narma10", 60, 2) != dataset_seed(0, "mackey_glass", 60, 2)
-    assert model_seed(0, "narma10", 60, 2, "esn") != dataset_seed(0, "narma10", 60, 2)
+    narma, mg = spec(task="narma10", trial=2), spec(task="mackey_glass", trial=2)
+    assert narma.dataset_seed != mg.dataset_seed
+    assert narma.model_seed != narma.dataset_seed
 
 
 def test_esn_config_applies_overrides_by_field_name():
@@ -81,6 +87,21 @@ def test_esn_config_applies_overrides_by_field_name():
     # a key that names no field used to raise a raw TypeError
     with pytest.raises(HubnetError, match="no setting is named 'bogus'"):
         readout_analysis(s, {"bogus": 1})
+
+
+# the trial sets these itself, and the spectral rescale cancels the weight
+# variance: a "mode": "random" override used to score a uniformly pruned
+# network under the hubesn label
+@pytest.mark.parametrize("name, value", [
+    ("n", 40), ("seed", 3), ("mode", "random"), ("injection", "random"),
+    ("input_dim", 2), ("topology", TopologyConfig(n=30)), ("weight_sigma2", 1.0)])
+def test_run_trial_refuses_a_field_the_trial_sets(monkeypatch, name, value):
+    def no_reservoir(cfg):
+        raise AssertionError("the setting must be refused before any reservoir is built")
+
+    monkeypatch.setattr(bench, "init_esn", no_reservoir)
+    with pytest.raises(HubnetError, match=f"no setting is named '{name}'"):
+        run_trial(spec("hubesn"), {name: value})
 
 
 def test_rmse_oracle():
@@ -156,9 +177,9 @@ def test_model_topologies_and_injection():
     esn = readout_analysis(spec("esn"))["esn"]
     hub = readout_analysis(spec("hubesn"))["esn"]
     hub_rand = readout_analysis(spec("hubesn_rand"))["esn"]
-    assert esn.network.config.mode == "random"
-    assert hub.network.config.mode == "hub"
-    assert hub_rand.network.config.mode == "hub"
+    assert esn.config.topology.mode == "random"
+    assert hub.config.topology.mode == "hub"
+    assert hub_rand.config.topology.mode == "hub"
     assert esn.config.injection == "random"
     assert hub.config.injection == "hub"
     assert hub_rand.config.injection == "random"
@@ -540,3 +561,14 @@ def test_mackey_glass_trial_never_holds_its_train_and_test_states_together():
     finally:
         tracemalloc.stop()
     assert peak < test_bytes + train_bytes
+
+
+def test_time_series_washout_leaves_the_fit_not_the_column_sums():
+    s = spec("hubesn", task="narma10")
+    bundle = readout_analysis(s, {"washout": 7})
+    train_in, train_tg, _, _ = bench._time_series_split(s)
+    states = reservoir.harvest(bundle["esn"], train_in)
+    w_out = reservoir.fit_readout(states[7:], train_tg[7:])
+    assert np.array_equal(bundle["w_out"], w_out)
+    col_abs = np.abs(states).sum(axis=0)
+    assert np.array_equal(bundle["w_norm"], reservoir.normalized_readout_weights(w_out, col_abs))

@@ -1,6 +1,8 @@
 import csv
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -95,14 +97,17 @@ def test_size_guard_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
-def modules_after_cli_import():
-    """The names in ``sys.modules`` of a fresh interpreter that imported hubnet.cli."""
-    code = "import sys, hubnet.cli; print(*sys.modules)"
+def run_python(*args, check=True):
+    """A fresh interpreter, given ``args``, that imports this hubnet; its outcome."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(hubnet.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    return subprocess.run([sys.executable, *args], env=env, check=check,
                           capture_output=True, text=True)
-    return done.stdout.split()
+
+
+def modules_after_cli_import():
+    """The names in ``sys.modules`` of a fresh interpreter that imported hubnet.cli."""
+    return run_python("-c", "import sys, hubnet.cli; print(*sys.modules)").stdout.split()
 
 
 def test_cli_import_leaves_the_thread_pool_unimported():
@@ -273,6 +278,28 @@ def test_gen_writes_the_empty_network(tmp_path):
     assert run(["gen", "--n", "0", "--out", str(out)]) == 0
     net = hubnet.topology.load_network(out)
     assert net.weights.shape == (0, 0) and net.coords.shape == (0, 3)
+
+
+def test_metrics_of_the_empty_network_is_one_error_line(tmp_path):
+    # a fresh interpreter, as numpy's RuntimeWarnings reach its stderr: the
+    # degree CV of no nodes used to print five of them before the error
+    out = tmp_path / "empty.json"
+    assert run(["gen", "--n", "0", "--out", str(out)]) == 0
+    done = run_python("-m", "hubnet.cli", "metrics", "--in", str(out), check=False)
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == ["error: degree vector must be nonempty"]
+    assert done.stdout == ""
+
+
+def test_every_public_name_resolves():
+    # a name left in __all__ after its definition is gone breaks
+    # ``from hubnet.<module> import *`` and every caller that walks __all__
+    modules = [importlib.import_module(f"hubnet.{info.name}")
+               for info in pkgutil.iter_modules(hubnet.__path__)]
+    assert len(modules) >= 7
+    for mod in [hubnet, *modules]:
+        for name in getattr(mod, "__all__", ()):
+            assert hasattr(mod, name), f"{mod.__name__}.__all__ lists {name!r}"
 
 
 def test_bad_flag_value_exits_2(tmp_path, capsys):

@@ -19,7 +19,7 @@ from hubnet.reservoir import (
     stream_readout,
 )
 from hubnet.tasks import MackeyGlassConfig, NarmaConfig
-from hubnet.topology import Network, TopologyConfig
+from hubnet.topology import TopologyConfig, generate_network
 
 
 def small_esn(seed=0, **kwargs):
@@ -78,8 +78,6 @@ def test_configs_reject_non_finite_floats(config, field, value):
     pytest.param(lambda: TopologyConfig(n=3, seed="x"), "seed", id="<lambda>-seed0"),
     pytest.param(lambda: EsnConfig(n=10, seed=1.5), "seed", id="<lambda>-seed1"),
     pytest.param(lambda: EsnConfig(n=10, washout=1.5), "washout", id="<lambda>-washout0"),
-    pytest.param(lambda: fit_readout(np.ones((6, 2)), np.ones(6), washout=1.5), "washout",
-                 id="<lambda>-washout1"),
     pytest.param(lambda: MackeyGlassConfig(length=10.5), "length", id="<lambda>-length0"),
     pytest.param(lambda: MackeyGlassConfig(tau=17.0), "tau", id="<lambda>-tau"),
     pytest.param(lambda: MackeyGlassConfig(transient=0.5), "transient", id="<lambda>-transient"),
@@ -151,7 +149,10 @@ def test_init_esn_input_mask_size_and_zeroing():
 
 def test_hub_injection_targets_top_degree_nodes():
     esn = small_esn(injection="hub")
-    deg = node_degrees(esn.network)
+    deg = node_degrees(esn.w_rec)
+    # w_rec keeps the zero pattern of the network init_esn draws
+    network = generate_network(esn.config.topology, np.random.default_rng(esn.config.seed))
+    assert np.array_equal(deg, node_degrees(network))
     chosen = np.flatnonzero(esn.input_mask)
     cutoff = np.sort(deg)[::-1][esn.config.n_input_neurons - 1]
     assert np.all(deg[chosen] >= cutoff)
@@ -277,9 +278,8 @@ def dense_esn(n, input_dim, seed):
     rng = np.random.default_rng(seed)
     cfg = EsnConfig(n=n, input_dim=input_dim, seed=seed)
     w_rec = rng.normal(0.0, 1.0 / np.sqrt(n), size=(n, n))
-    net = Network(weights=w_rec, coords=np.zeros((n, 3)), config=cfg.topology)
     return Esn(w_in=rng.uniform(-1.0, 1.0, size=(n, input_dim)), w_rec=w_rec,
-               input_mask=np.ones(n, dtype=bool), network=net, config=cfg)
+               input_mask=np.ones(n, dtype=bool), config=cfg)
 
 
 # around the 64-row block edges, and n = 700, past OpenBLAS's threaded dgemv;
@@ -336,10 +336,6 @@ def test_harvest_and_fit_readout_reject_non_finite():
         fit_readout(nan_states, targets)
     with pytest.raises(HubnetError):
         fit_readout(states, nan_targets)
-    # rows inside the washout are not fit, so they need not be finite
-    poisoned = states.copy()
-    poisoned[0] = np.nan
-    fit_readout(poisoned, targets, washout=1)
 
 
 def test_fit_readout_recovers_planted_weights():
@@ -391,7 +387,6 @@ def test_fit_readout_ill_conditioned_is_exactly_lstsq(kind):
     s = ill_conditioned_states()[kind]
     y = np.random.default_rng(16).normal(size=s.shape[0])
     assert np.array_equal(fit_readout(s, y), lstsq_readout(s, y))
-    assert np.array_equal(fit_readout(s, y, washout=10), lstsq_readout(s[10:], y[10:]))
 
 
 def test_fit_readout_on_mackey_glass_states_is_exactly_lstsq():
@@ -532,21 +527,14 @@ def test_fit_readout_minimum_norm_interpolates_when_underdetermined():
     assert np.max(np.abs(s @ w - y)) < 1e-8
 
 
-def test_fit_readout_washout_and_errors():
+def test_fit_readout_row_count_errors():
     rng = np.random.default_rng(7)
     s = rng.normal(size=(40, 10))
     y = rng.normal(size=40)
-    w = fit_readout(s, y, washout=15)
-    assert np.allclose(w, fit_readout(s[15:], y[15:]))
     with pytest.raises(HubnetError, match="40 state rows vs 30 target rows"):
         fit_readout(s, y[:30])
-    with pytest.raises(HubnetError, match="washout leaves no rows to fit"):
-        fit_readout(s, y, washout=40)
-    # a negative washout used to fit the last rows, or to be ignored
-    with pytest.raises(HubnetError, match="washout must be nonnegative"):
-        fit_readout(s, y, washout=-3)
-    with pytest.raises(HubnetError, match="washout must be nonnegative"):
-        fit_readout(rng.normal(size=(40, 50)), y, washout=-3)
+    with pytest.raises(HubnetError, match="no rows to fit"):
+        fit_readout(s[:0], y[:0])
 
 
 def test_fit_readout_multi_output_shape():
