@@ -16,7 +16,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .errors import HubnetError, check_int
+from .errors import HubnetError, check_int, check_memory
 from .netmetrics import node_degrees
 from .reservoir import (
     EsnConfig,
@@ -29,6 +29,7 @@ from .reservoir import (
     stream_readout,
 )
 from .tasks import (
+    MNIST_SIDE,
     MackeyGlassConfig,
     MnistData,
     NarmaConfig,
@@ -265,8 +266,8 @@ def esn_config(spec: TrialSpec, overrides: dict | None = None) -> EsnConfig:
 
     ``overrides`` sets run settings, the ``TOPOLOGY_FLAGS`` and
     ``ESN_FLAGS`` fields, by name; any other name is a ``HubnetError``,
-    and so is a washout that drops every training step of a sequence: all
-    ``n_train`` of a time series, or all 28 columns of an MNIST image.
+    and so is a washout that drops every training step of a sequence, or
+    a time-series trial that would need more than the physical memory.
     """
     esn = dict(overrides or {})
     unknown = sorted(set(esn) - {*TOPOLOGY_FLAGS, *ESN_FLAGS})
@@ -275,7 +276,7 @@ def esn_config(spec: TrialSpec, overrides: dict | None = None) -> EsnConfig:
     topo = {k: esn.pop(k) for k in TOPOLOGY_FLAGS if k in esn}
     cfg = EsnConfig(**{
         "n": spec.n,
-        "input_dim": 28 if spec.task == "mnist" else 1,
+        "input_dim": MNIST_SIDE if spec.task == "mnist" else 1,
         "injection": "hub" if spec.model == "hubesn" else "random",
         "seed": spec.model_seed,
         "topology": TopologyConfig(**{
@@ -286,8 +287,13 @@ def esn_config(spec: TrialSpec, overrides: dict | None = None) -> EsnConfig:
         }),
         **esn,
     })
-    if cfg.washout >= (28 if spec.task == "mnist" else spec.n_train):
+    if cfg.washout >= (MNIST_SIDE if spec.task == "mnist" else spec.n_train):
         raise HubnetError("washout leaves no rows to fit")
+    if spec.task != "mnist":
+        # the train states and lstsq's copy, or the test states; the series ~56 B a step
+        steps = spec.n_train + spec.n_test
+        check_memory(8 * spec.n * max(2 * spec.n_train, spec.n_test) + 56 * steps,
+                     f"a trial of n = {spec.n} and {steps:,} steps", "to run")
     return cfg
 
 

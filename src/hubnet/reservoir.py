@@ -348,7 +348,7 @@ def stream_readout(blocks, shape: tuple[int, int]) -> np.ndarray:
         # same peak RSS to 91 MB
         del s, y
     if rows < 1:
-        raise HubnetError("washout leaves no rows to fit")
+        raise HubnetError("no rows to fit")
     # _add_gram fills the upper triangle: mirror it once, after the pass
     np.copyto(gram, gram.T, where=np.tri(n, k=-1, dtype=bool))
     # a non-finite state makes its diagonal entry of S^T S non-finite

@@ -104,6 +104,19 @@ def test_run_trial_refuses_a_field_the_trial_sets(monkeypatch, name, value):
         run_trial(spec("hubesn"), {name: value})
 
 
+def no_series(*args, **kwargs):
+    raise AssertionError("an oversize trial must be refused before its data is made")
+
+
+@pytest.mark.parametrize("task", ["mackey_glass", "narma10"])
+def test_run_trial_refuses_an_oversize_time_series(monkeypatch, task):
+    # about 56 B a step of series alone would take ~56 GB and minutes to make
+    monkeypatch.setattr(bench, "mackey_glass", no_series)
+    monkeypatch.setattr(bench, "narma10", no_series)
+    with pytest.raises(HubnetError, match="physical memory"):
+        run_trial(spec("hubesn", task=task, n=500, n_train=1_000_000_000))
+
+
 def test_rmse_oracle():
     assert rmse(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
     assert rmse(np.array([0.0, 0.0]), np.array([3.0, 4.0])) == pytest.approx(np.sqrt(12.5))

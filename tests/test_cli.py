@@ -97,6 +97,24 @@ def test_size_guard_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["bench", "analyze-readout"])
+@pytest.mark.parametrize("task", ["mackey-glass", "narma10"])
+def test_oversize_time_series_exits_2_before_making_data(tmp_path, monkeypatch, capsys,
+                                                         command, task):
+    def no_series(*args, **kwargs):
+        raise AssertionError("an oversize trial must be refused before its data is made")
+
+    monkeypatch.setattr(hubnet.bench, "mackey_glass", no_series)
+    monkeypatch.setattr(hubnet.bench, "narma10", no_series)
+    out = tmp_path / "r.csv"
+    assert run([command, "--task", task, "--n", "500", "--n-train", "1000000000",
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: a trial of n = 500 and 1,000,002,000 steps needs about ")
+    assert err.endswith(" of physical memory\n") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def run_python(*args, check=True):
     """A fresh interpreter, given ``args``, that imports this hubnet; its outcome."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

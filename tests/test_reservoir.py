@@ -63,7 +63,9 @@ TOPOLOGY_FLOATS = ("density", "alpha", "beta", "lambda_dc", "lambda_nc",
                          + [(NarmaConfig, f) for f in ("alpha_n", "beta_n", "gamma_n", "delta_n")])
 def test_configs_reject_non_finite_floats(config, field, value):
     size = {"n": 50} if config in (TopologyConfig, EsnConfig) else {}
-    with pytest.raises(HubnetError, match=field):
+    # a task coefficient is a class constant, which no keyword sets
+    constant = field != "x0" and config in (MackeyGlassConfig, NarmaConfig)
+    with pytest.raises(TypeError if constant else HubnetError, match=field):
         config(**size, **{field: value})
 
 
@@ -79,10 +81,8 @@ def test_configs_reject_non_finite_floats(config, field, value):
     pytest.param(lambda: EsnConfig(n=10, seed=1.5), "seed", id="<lambda>-seed1"),
     pytest.param(lambda: EsnConfig(n=10, washout=1.5), "washout", id="<lambda>-washout0"),
     pytest.param(lambda: MackeyGlassConfig(length=10.5), "length", id="<lambda>-length0"),
-    pytest.param(lambda: MackeyGlassConfig(tau=17.0), "tau", id="<lambda>-tau"),
     pytest.param(lambda: MackeyGlassConfig(transient=0.5), "transient", id="<lambda>-transient"),
     pytest.param(lambda: NarmaConfig(length=10.5), "length", id="<lambda>-length1"),
-    pytest.param(lambda: NarmaConfig(l=10.0), "l", id="<lambda>-l"),
     pytest.param(lambda: NarmaConfig(length=50, seed=1.5), "seed", id="<lambda>-seed2"),
     pytest.param(lambda: bench.run_experiment([("narma10", "esn", 20, 30, 10)], 1, 0, jobs=1.5),
                  "jobs", id="<lambda>-jobs"),
@@ -480,7 +480,7 @@ def test_stream_readout_errors():
     with pytest.raises(HubnetError, match="4 state rows vs 5 target rows"):
         stream_readout(lambda: [(s[:4], y[:5])], (3, 1))
     # blocks with no rows at all
-    with pytest.raises(HubnetError, match="washout leaves no rows to fit"):
+    with pytest.raises(HubnetError, match="^no rows to fit$"):
         stream_readout(lambda: row_blocks(s, y, [0, 0, 0]), (3, 1))
     # a non-finite state fails the Gram pass and is caught by the QR pass
     poisoned = s.copy()

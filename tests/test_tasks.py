@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -57,8 +59,8 @@ def numpy_mackey_glass(cfg):
     MackeyGlassConfig(length=3201),
     MackeyGlassConfig(length=5000),
     MackeyGlassConfig(length=20000),
-    MackeyGlassConfig(length=700, tau=30, transient=0, x0=0.5),
-    MackeyGlassConfig(length=500, beta_m=0.25, gamma_m=0.15, k=9.65, dt=0.5, x0=0.9),
+    MackeyGlassConfig(length=700, transient=0, x0=0.5),
+    MackeyGlassConfig(length=500, x0=0.9),
 ])
 def test_mackey_glass_equals_the_numpy_loop(cfg):
     raw, norm = mackey_glass(cfg)
@@ -70,20 +72,40 @@ def test_mackey_glass_equals_the_numpy_loop(cfg):
 
 @pytest.mark.parametrize("cfg", [
     MackeyGlassConfig(length=50, x0=1e40),  # x ** k overflows
-    MackeyGlassConfig(length=50, x0=-1.0, k=1.5),  # complex
-    MackeyGlassConfig(length=50, x0=-1.0, k=1.0),  # 1 + x ** k = 0
-    MackeyGlassConfig(length=50, x0=2.0, dt=1e300),  # inf - inf
 ])
 def test_mackey_glass_rejects_a_diverging_series(cfg):
     with pytest.raises(HubnetError, match="not finite and real"):
         mackey_glass(cfg)
 
 
+def test_mackey_glass_rejects_a_non_finite_series(monkeypatch):
+    # no finite x0 reaches this check under the constants: a huge step
+    # makes inf - inf without an OverflowError
+    monkeypatch.setattr(MackeyGlassConfig, "dt", 1e300)
+    with pytest.raises(HubnetError, match="not finite and real"):
+        mackey_glass(MackeyGlassConfig(length=50, x0=2.0))
+
+
+TASK_CONSTANTS = {
+    MackeyGlassConfig: {"tau": 17, "beta_m": 0.2, "gamma_m": 0.1, "k": 10.0, "dt": 1.0},
+    NarmaConfig: {"l": 10, "alpha_n": 0.3, "beta_n": 0.05, "gamma_n": 1.5, "delta_n": 0.1},
+}
+
+
+@pytest.mark.parametrize("config", TASK_CONSTANTS)
+def test_task_coefficients_are_class_constants(config):
+    fields = {MackeyGlassConfig: ["length", "transient", "x0"], NarmaConfig: ["length", "seed"]}
+    assert [f.name for f in dataclasses.fields(config)] == fields[config]
+    for name, value in TASK_CONSTANTS[config].items():
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            config(**{name: value})
+        assert getattr(config(), name) == value
+        assert type(getattr(config, name)) is type(value)
+
+
 def test_mackey_glass_config_validation():
     with pytest.raises(ValueError):
         MackeyGlassConfig(length=0)
-    with pytest.raises(ValueError):
-        MackeyGlassConfig(tau=0)
     with pytest.raises(ValueError):
         MackeyGlassConfig(transient=-1)
     with pytest.raises(HubnetError, match="seed must be nonnegative"):
@@ -125,10 +147,11 @@ def test_narma10_bounded():
     assert np.abs(targets).max() <= 1e3
 
 
-def test_narma10_gives_up_on_divergent_parameters():
+def test_narma10_gives_up_on_divergent_parameters(monkeypatch):
     # delta_n = 2000 drives every draw past the 1e3 bound
+    monkeypatch.setattr(NarmaConfig, "delta_n", 2000.0)
     with pytest.raises(HubnetError, match="divergent NARMA draws"):
-        narma10(NarmaConfig(length=50, delta_n=2000.0))
+        narma10(NarmaConfig(length=50))
 
 
 def test_time_series_split_alignment():
