@@ -274,19 +274,12 @@ def esn_config(spec: TrialSpec, overrides: dict | None = None) -> EsnConfig:
     if unknown:
         raise HubnetError(f"no setting is named {unknown[0]!r}")
     topo = {k: esn.pop(k) for k in TOPOLOGY_FLAGS if k in esn}
-    cfg = EsnConfig(**{
-        "n": spec.n,
-        "input_dim": MNIST_SIDE if spec.task == "mnist" else 1,
-        "injection": "hub" if spec.model == "hubesn" else "random",
-        "seed": spec.model_seed,
-        "topology": TopologyConfig(**{
-            "n": spec.n,
-            "mode": "random" if spec.model == "esn" else "hub",
-            "seed": spec.model_seed,
-            **topo,
-        }),
-        **esn,
-    })
+    cfg = EsnConfig(
+        n=spec.n, input_dim=MNIST_SIDE if spec.task == "mnist" else 1,
+        injection="hub" if spec.model == "hubesn" else "random", seed=spec.model_seed,
+        topology=TopologyConfig(n=spec.n, mode="random" if spec.model == "esn" else "hub",
+                                seed=spec.model_seed, **topo),
+        **esn)
     if cfg.washout >= (MNIST_SIDE if spec.task == "mnist" else spec.n_train):
         raise HubnetError("washout leaves no rows to fit")
     if spec.task != "mnist":
@@ -307,10 +300,9 @@ def readout_analysis(spec: TrialSpec, overrides: dict | None = None,
     if spec.task == "mnist":
         if mnist is None:
             raise HubnetError("mnist task requires loaded MnistData")
-        ds_rng = np.random.default_rng(spec.dataset_seed)
         if spec.n_train + spec.n_test > mnist.count:
             raise HubnetError("not enough MNIST images for the requested split")
-        perm = ds_rng.permutation(mnist.count)
+        perm = np.random.default_rng(spec.dataset_seed).permutation(mnist.count)
         train_idx = perm[: spec.n_train]
         test_idx = perm[spec.n_train: spec.n_train + spec.n_test]
 

@@ -46,6 +46,25 @@ class UsageError(Exception):
     pass
 
 
+def _check_output_paths(args) -> None:
+    """Raise ``OSError`` naming the first output flag whose path cannot be written.
+
+    No file is made or truncated, so a run that fails leaves one as it was.
+    """
+    for name in ("out", "aggregate_out", "degrees_out"):
+        path = getattr(args, name, None)
+        if not path:
+            continue
+        folder = os.path.dirname(os.path.abspath(path))
+        if os.path.isdir(path):
+            problem = "is a directory"
+        elif not os.access(folder, os.W_OK):
+            problem = f"no writable directory {folder}"
+        else:
+            continue
+        raise OSError(f"--{name.replace('_', '-')} {path}: {problem}")
+
+
 def _add_config_flags(p: argparse.ArgumentParser, config, table: dict) -> None:
     """One flag per ``{field: help}`` entry of ``table``, typed as ``config``'s field.
 
@@ -92,15 +111,13 @@ def cmd_gen(args) -> int:
     with _settings_checked():
         cfg = topology.TopologyConfig(mode=args.mode, seed=args.seed,
                                       **_given(args, GEN_FLAGS))
-    net = topology.generate_network(cfg)
-    topology.save_network(net, args.out)
+    topology.save_network(topology.generate_network(cfg), args.out)
     return 0
 
 
 def cmd_metrics(args) -> int:
     net = topology.load_network(getattr(args, "in"))
-    metrics = netmetrics.network_metrics(net)
-    doc = json.dumps(metrics, indent=2)
+    doc = json.dumps(netmetrics.network_metrics(net), indent=2)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(doc + "\n")
@@ -294,6 +311,7 @@ def main(argv=None) -> int:
         # metrics and plot take no --seed
         if "seed" in vars(args) and args.seed is None:
             args.seed = _seed_from_env()
+        _check_output_paths(args)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

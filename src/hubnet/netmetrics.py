@@ -196,10 +196,7 @@ def degree_summary(degrees: np.ndarray) -> dict:
         raise HubnetError("degree vector must be nonempty")
     mean = float(d.mean())
     sd = float(d.std())
-    if sd > 0.0:
-        skew = float(((d - mean) ** 3).mean() / sd ** 3)
-    else:
-        skew = 0.0
+    skew = float(((d - mean) ** 3).mean() / sd ** 3) if sd > 0.0 else 0.0
     q75, q25 = np.percentile(d, [75, 25])
     width = max(1.0, 2.0 * (q75 - q25) * d.size ** (-1.0 / 3.0))
     lo, hi = d.min(), d.max()

@@ -23,7 +23,6 @@ __all__ = [
     "EsnConfig",
     "Esn",
     "spectral_radius",
-    "scale_spectral_radius",
     "init_esn",
     "harvest",
     "harvest_steps",
@@ -139,31 +138,25 @@ def spectral_radius(w: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvals(w)).max())
 
 
-def scale_spectral_radius(w: np.ndarray, rho: float) -> np.ndarray:
-    """Rescale w so its dominant eigenvalue magnitude equals rho."""
-    sr = spectral_radius(w)
-    if sr < 1e-12:
-        raise HubnetError("spectral radius below 1e-12; cannot rescale")
-    return w * (rho / sr)
-
-
 def init_esn(cfg: EsnConfig) -> Esn:
     """Build the reservoir: topology, spectral scaling, input matrix, mask.
 
     Every draw comes from ``default_rng(cfg.seed)``, so the config alone
-    rebuilds the reservoir bit for bit.
+    rebuilds the reservoir bit for bit.  The pruned weights are rescaled in
+    place to the spectral radius ``spec_rad`` and become ``w_rec``.
     """
     rng = np.random.default_rng(cfg.seed)
-    network = generate_network(cfg.topology, rng)
-    w_rec = scale_spectral_radius(network.weights, cfg.spec_rad)
+    w_rec = generate_network(cfg.topology, rng).weights
+    sr = spectral_radius(w_rec)
+    if sr < 1e-12:
+        raise HubnetError("spectral radius below 1e-12; cannot rescale")
+    w_rec *= cfg.spec_rad / sr
 
     w_in = rng.uniform(-1.0, 1.0, size=(cfg.n, cfg.input_dim))
     n_in = cfg.n_input_neurons
     if cfg.injection == "hub":
-        deg = node_degrees(network)
         # stable sort on -degree: equal degrees break toward the lower index
-        order = np.argsort(-deg, kind="stable")
-        chosen = order[:n_in]
+        chosen = np.argsort(-node_degrees(w_rec), kind="stable")[:n_in]
     else:
         chosen = rng.choice(cfg.n, size=n_in, replace=False)
     mask = np.zeros(cfg.n, dtype=bool)

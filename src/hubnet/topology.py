@@ -200,9 +200,15 @@ def prune(
     order (the set a stable sort of the keys would take).  Zero-mass edges
     only go once positive-mass edges are exhausted, in which case the
     deficit is removed uniformly from the survivors.
+
+    The result starts on a 64-byte boundary: as ``w_rec``, an n = 500
+    harvest step took 33-37 us there or 32 bytes past, 40-47 us at 16 or 48.
     """
     n = dense.shape[0]
-    out = dense.copy()
+    buf = np.empty(dense.size + 8)
+    start = -buf.ctypes.data % 64 // 8
+    out = buf[start:start + dense.size].reshape(dense.shape)
+    out[...] = dense
     np.fill_diagonal(out, 0.0)
     total = n * (n - 1)
     d_remove = total - target_edge_count(n, density)
@@ -281,15 +287,8 @@ def generate_network(cfg: TopologyConfig, rng: np.random.Generator | None = None
 
 def network_to_dict(net: Network) -> dict:
     rows, cols = np.nonzero(net.weights)
-    edges = [
-        [int(i), int(j), float(net.weights[i, j])] for i, j in zip(rows, cols)
-    ]
-    return {
-        "n": net.n,
-        "config": asdict(net.config),
-        "coords": net.coords.tolist(),
-        "edges": edges,
-    }
+    edges = [[int(i), int(j), float(net.weights[i, j])] for i, j in zip(rows, cols)]
+    return dict(zip(NETWORK_KEYS, (net.n, asdict(net.config), net.coords.tolist(), edges)))
 
 
 def edges_to_dense(triples: np.ndarray, shape: tuple[int, int]) -> np.ndarray:

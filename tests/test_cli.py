@@ -115,6 +115,60 @@ def test_oversize_time_series_exits_2_before_making_data(tmp_path, monkeypatch, 
     assert not out.exists()
 
 
+def no_work(*args, **kwargs):
+    raise AssertionError("a bad output path must be refused before any work")
+
+
+@pytest.mark.parametrize("flag", ["--out", "--aggregate-out"])
+@pytest.mark.parametrize("bad", ["missing", "directory"])
+def test_bench_checks_output_paths_before_any_trial(tmp_path, monkeypatch, capsys, flag, bad):
+    monkeypatch.setattr(hubnet.bench, "run_experiment", no_work)
+    results = tmp_path / "r.csv"
+    results.write_text("kept\n")
+    path = tmp_path / "nowhere" / "x.csv" if bad == "missing" else tmp_path
+    paths = {"--out": str(results), "--aggregate-out": str(tmp_path / "a.csv"), flag: str(path)}
+    assert run(["bench", "--task", "mackey-glass", "--n", "20", "--n-train", "50",
+                "--n-test", "20", "--repeats", "1", *sum(paths.items(), ())]) == 1
+    problem = f"no writable directory {tmp_path / 'nowhere'}" if bad == "missing" \
+        else "is a directory"
+    assert capsys.readouterr().err == f"error: {flag} {path}: {problem}\n"
+    # a failed run leaves an existing results file as it was
+    assert results.read_text() == "kept\n"
+    assert not (tmp_path / "a.csv").exists()
+
+
+@pytest.mark.parametrize("bad", ["missing", "directory"])
+def test_metrics_checks_the_degrees_path_before_louvain(tmp_path, monkeypatch, capsys, bad):
+    net_path = tmp_path / "net.json"
+    assert run(["gen", "--n", "20", "--seed", "1", "--out", str(net_path)]) == 0
+    monkeypatch.setattr(hubnet.netmetrics, "louvain_partition", no_work)
+    monkeypatch.setattr(hubnet.topology, "load_network", no_work)
+    path = tmp_path / "nowhere" / "d.csv" if bad == "missing" else tmp_path
+    assert run(["metrics", "--in", str(net_path), "--degrees-out", str(path)]) == 1
+    problem = f"no writable directory {tmp_path / 'nowhere'}" if bad == "missing" \
+        else "is a directory"
+    assert capsys.readouterr() == ("", f"error: --degrees-out {path}: {problem}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--n", "20"],
+    ["metrics", "--in", "net.json"],
+    ["analyze-readout", "--task", "narma10", "--n", "20", "--n-train", "30"],
+    ["plot", "--in", "agg.csv"],
+])
+def test_every_command_checks_its_output_path_first(tmp_path, monkeypatch, capsys, argv):
+    # the inputs do not exist, so reading one first would give another error
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(hubnet.topology, "generate_network", no_work)
+    monkeypatch.setattr(hubnet.bench, "readout_analysis", no_work)
+    assert run(argv + ["--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: --out {tmp_path}: is a directory\n"
+    monkeypatch.setattr(os, "access", lambda path, mode: False)
+    assert run(argv + ["--out", "x"]) == 1
+    assert capsys.readouterr().err == f"error: --out x: no writable directory {tmp_path}\n"
+    assert not (tmp_path / "x").exists()
+
+
 def run_python(*args, check=True):
     """A fresh interpreter, given ``args``, that imports this hubnet; its outcome."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

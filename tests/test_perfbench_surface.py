@@ -6,7 +6,10 @@ benchmark: it would silently skew the per-layer counts it traces.
 """
 
 import dataclasses
+import importlib
 import inspect
+import json
+from pathlib import Path
 
 import hubnet
 import hubnet.cli
@@ -43,3 +46,16 @@ def test_wrapped_and_read_names_exist():
     assert "input_dim" in {f.name for f in dataclasses.fields(reservoir.EsnConfig)}
     assert {"spec", "score"} <= {f.name for f in dataclasses.fields(bench.TrialResult)}
     assert isinstance(hubnet.__version__, str)
+
+
+def test_every_traced_layer_names_a_public_function():
+    # a per-layer metric of a renamed or deleted function would read zero
+    spec = json.loads((Path(__file__).parents[1] / "BENCHMARK.json").read_text())
+    layers = {tuple(m["name"].split(".")[:2]) for m in spec["per_layer"]
+              if m["name"].count(".") == 2}
+    assert ("reservoir", "spectral_radius") in layers
+    for module_name, fn_name in layers:
+        module = importlib.import_module(f"hubnet.{module_name}")
+        assert (module_name, fn_name) == ("cli", "main") or fn_name in module.__all__, \
+            f"{module_name}.{fn_name}"
+        assert callable(getattr(module, fn_name))

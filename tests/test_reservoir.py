@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,12 +16,11 @@ from hubnet.reservoir import (
     init_esn,
     normalized_readout_weights,
     pearson,
-    scale_spectral_radius,
     spectral_radius,
     stream_readout,
 )
 from hubnet.tasks import MackeyGlassConfig, NarmaConfig
-from hubnet.topology import TopologyConfig, generate_network
+from hubnet.topology import TopologyConfig, generate_network, target_edge_count
 
 
 def small_esn(seed=0, **kwargs):
@@ -126,17 +127,24 @@ def test_spectral_radius_nilpotent_is_zero():
     w = np.zeros((5, 5))
     w[0, 1] = 3.0  # strictly upper triangular: all eigenvalues zero
     assert spectral_radius(w) == 0.0
-    with pytest.raises(HubnetError, match="spectral radius below 1e-12"):
-        scale_spectral_radius(w, 0.9)
     with pytest.raises(HubnetError, match="empty matrix has no spectrum"):
         spectral_radius(np.zeros((0, 0)))
 
 
-def test_scale_spectral_radius():
-    rng = np.random.default_rng(1)
-    w = rng.normal(size=(60, 60))
-    scaled = scale_spectral_radius(w, 0.9)
-    assert np.abs(np.linalg.eigvals(scaled)).max() == pytest.approx(0.9, abs=1e-6)
+def test_init_esn_refuses_a_zero_spectrum():
+    # at n = 2 and density 0.2 the network keeps round(0.4) = 0 edges
+    assert target_edge_count(2, 0.2) == 0
+    with pytest.raises(HubnetError, match="^spectral radius below 1e-12; cannot rescale$"):
+        init_esn(EsnConfig(n=2))
+
+
+@pytest.mark.parametrize("mode", ["hub", "random"])
+@pytest.mark.parametrize("n", [40, 150])
+def test_w_rec_is_the_drawn_network_rescaled(mode, n):
+    cfg = EsnConfig(n=n, seed=3, topology=TopologyConfig(n=n, mode=mode, seed=3))
+    w = generate_network(cfg.topology, np.random.default_rng(cfg.seed)).weights
+    expected = w * (cfg.spec_rad / spectral_radius(w))
+    assert init_esn(cfg).w_rec.tobytes() == expected.tobytes()
 
 
 def test_init_esn_input_mask_size_and_zeroing():
@@ -300,6 +308,22 @@ def test_harvest_keeps_the_bits_of_the_per_step_recurrence(n, batch):
             steps = stacked_steps(esn, inputs, s0)
             assert np.array_equal(steps[:, 0] if batch == 1 else steps.transpose(1, 0, 2),
                                   expected)
+
+
+def test_harvest_keeps_its_bits_at_any_w_rec_alignment():
+    # n = 200 splits the recurrent product in two row blocks
+    n = 200
+    assert len(_row_blocks(n, 1)) == 2
+    esn = dense_esn(n, 1, seed=5)
+    u = np.random.default_rng(6).uniform(-1.0, 1.0, size=50)
+    expected = harvest(esn, u).tobytes()
+    for offset in (0, 16, 32, 48):
+        buf = np.empty(n * n + 8)
+        start = (offset - buf.ctypes.data) % 64 // 8
+        w_rec = buf[start:start + n * n].reshape(n, n)
+        w_rec[...] = esn.w_rec
+        assert w_rec.ctypes.data % 64 == offset
+        assert harvest(dataclasses.replace(esn, w_rec=w_rec), u).tobytes() == expected
 
 
 def test_row_blocks_cover_every_row_once():

@@ -327,6 +327,14 @@ def test_generation_equals_reference_formulas(mode, n, extra):
         assert np.array_equal(net.coords, coords)
 
 
+@pytest.mark.parametrize("mode", ["hub", "random"])
+@pytest.mark.parametrize("n", [7, 60, 500])
+def test_generated_weights_start_on_a_64_byte_boundary(mode, n):
+    # they become an ESN's w_rec, whose dgemv runs fastest aligned
+    net = generate_network(TopologyConfig(n=n, mode=mode, seed=1))
+    assert net.weights.ctypes.data % 64 == 0 and net.weights.flags.c_contiguous
+
+
 def test_distance_constraint_equals_reference_at_every_scale():
     rng = np.random.default_rng(4)
     for scale in (1e-3, 1.0, 1e8):
